@@ -24,7 +24,7 @@ from . import ddvv as ddvv_mod
 from .curvature import Bracket, FundamentalData, invariants, kmin_bracket
 from .immersion import BUILTINS, PointSample, builtin, sample_grid
 from .models import MODEL_KINDS, ModelSpec, build_model
-from .pinching import HypothesisError, PinchVerdict, severity, verdict
+from .pinching import THEOREMS, HypothesisError, PinchVerdict, severity, verdict
 from .symmat import random_tuple
 
 EXIT_OK = 0
@@ -47,6 +47,11 @@ def data_to_dict(data: FundamentalData) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, so JSON true/false would pass as 1/0
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def data_from_dict(obj) -> FundamentalData:
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
@@ -54,14 +59,18 @@ def data_from_dict(obj) -> FundamentalData:
         if key not in obj:
             raise ValueError(f"missing required field {key!r}")
     n, p = obj["n"], obj["p"]
-    if not isinstance(n, int) or not isinstance(p, int):
+    if not _is_int(n) or not _is_int(p):
         raise ValueError("fields 'n' and 'p' must be integers")
     mean_index = obj.get("mean_index")
-    if mean_index is not None and not isinstance(mean_index, int):
+    if mean_index is not None and not _is_int(mean_index):
         raise ValueError("field 'mean_index' must be an integer or null")
+    c = obj["c"]
+    if isinstance(c, bool) or not isinstance(c, (int, float)) or not np.isfinite(c):
+        raise ValueError(f"field 'c' must be a finite number, got {c!r}")
     forms = np.asarray(obj["H_matrices"], dtype=float)
-    return FundamentalData(n=n, p=p, c=float(obj["c"]), forms=forms,
-                           mean_index=mean_index)
+    if not np.all(np.isfinite(forms)):
+        raise ValueError("field 'H_matrices' has non-finite entries")
+    return FundamentalData(n=n, p=p, c=float(c), forms=forms, mean_index=mean_index)
 
 
 def bracket_to_dict(b: Bracket) -> dict:
@@ -158,7 +167,7 @@ def record_to_dict(r: ReportRecord) -> dict:
 
 
 def _dump(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -226,8 +235,7 @@ def _check_one(label: str, data: FundamentalData, args, stamp) -> ReportRecord:
     wanted: list[str] = []
     for th in theorems:
         wanted.extend(_auto_theorems(data) if th == "auto" else [th])
-    verdicts = [verdict(data, th, tol=args.tol, budget=args.budget, seed=args.seed)
-                for th in wanted]
+    verdicts = [verdict(data, th, tol=args.tol, bracket=bracket) for th in wanted]
     exit_hint = max((severity(v.status) for v in verdicts), default=EXIT_OK)
     worst = max(verdicts, key=lambda v: severity(v.status), default=None)
     elapsed = None if args.no_timestamp else time.perf_counter() - t0
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("inputs", nargs="+", metavar="INPUT",
                      help="JSON files: FundamentalData, lists, or immersion samples")
     chk.add_argument("--theorem", action="append",
-                     choices=["auto", "yau", "itoh", "thm1", "thm2", "generalized"],
+                     choices=["auto", *THEOREMS],
                      help="theorem(s) to verify (default: auto by frame)")
     chk.add_argument("--tol", type=float, default=1e-8)
     chk.add_argument("--budget", type=int, default=64,

@@ -143,8 +143,11 @@ def _classify(bracket: Bracket, threshold: float, tol: float) -> str:
 
 
 def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
-            budget: int = 64, seed=0) -> PinchVerdict:
+            budget: int = 64, seed=0, bracket: Bracket | None = None) -> PinchVerdict:
     """Compare the certified K_min bracket of `data` against one theorem.
+
+    A precomputed `bracket` (from kmin_bracket on the same data) is used as
+    is; otherwise one is searched with `budget` and `seed`.
 
     Raises HypothesisError when the data violates the theorem's structural
     hypotheses (minimality, unit ambient curvature, nonzero parallel mean).
@@ -201,7 +204,8 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
             ambient = data.c + inv.H**2
             mean_case = True
 
-    bracket = kmin_bracket(data, budget=budget, seed=seed)
+    if bracket is None:
+        bracket = kmin_bracket(data, budget=budget, seed=seed)
     status = _classify(bracket, threshold, tol)
 
     sub = data.forms[list(restriction)]

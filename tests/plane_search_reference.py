@@ -1,0 +1,76 @@
+"""Reference K_min plane search: one projected descent per start, from the tensor.
+
+This is the straightforward form of the search that `kmin_bracket` runs in a
+batch: every start is descended on its own, frames are re-orthonormalized by
+`np.linalg.qr`, and K(u, v) and its gradient are contracted from the full
+n^4 Riemann tensor.  It shares no search code with the package, so tests can
+hold the batched form-based search to it.
+"""
+
+import numpy as np
+
+from rigidity.curvature import curvature_operator, riemann
+
+
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _value(comp, x):
+    u, v = x[:, 0], x[:, 1]
+    return float(np.einsum("ijkl,i,j,k,l->", comp, u, v, u, v))
+
+
+def _grad(comp, x):
+    u, v = x[:, 0], x[:, 1]
+    gu = 2.0 * np.einsum("ajkl,j,k,l->a", comp, v, u, v)
+    gv = 2.0 * np.einsum("iakl,i,k,l->a", comp, u, u, v)
+    return np.column_stack([gu, gv])
+
+
+def _orthonormalize(x):
+    q, _ = np.linalg.qr(x)
+    return q
+
+
+def descend_plane(comp, x0, iters=200):
+    """Projected gradient descent of K over orthonormal 2-frames from one start."""
+    x = _orthonormalize(x0)
+    f = _value(comp, x)
+    for _ in range(iters):
+        g = _grad(comp, x)
+        sym = x.T @ g
+        tang = g - x @ (sym + sym.T) / 2.0
+        if np.linalg.norm(tang) < 1e-14:
+            break
+        step = 0.1
+        xn, fn = x, f
+        while step > 1e-17:
+            cand = _orthonormalize(x - step * tang)
+            fc = _value(comp, cand)
+            if fc < f:
+                xn, fn = cand, fc
+                break
+            step /= 2.0
+        if fn >= f - 1e-12:
+            x, f = xn, min(f, fn)
+            break
+        x, f = xn, fn
+    return f
+
+
+def reference_kmin_bracket(data, budget=64, seed=0, iters=200):
+    """(lo, hi) with the same starts as kmin_bracket, searched one start at a time."""
+    tensor = riemann(data)
+    comp = tensor.components
+    lo = float(np.linalg.eigvalsh(curvature_operator(tensor))[0])
+    hi = np.inf
+    for (i, j) in _pairs(data.n):
+        x0 = np.zeros((data.n, 2))
+        x0[i, 0] = 1.0
+        x0[j, 1] = 1.0
+        hi = min(hi, descend_plane(comp, x0, iters))
+    for child in np.random.SeedSequence(seed).spawn(max(0, budget)):
+        x0 = np.random.default_rng(child).normal(size=(data.n, 2))
+        hi = min(hi, descend_plane(comp, x0, iters))
+    return lo, max(lo, float(hi))

@@ -12,7 +12,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rigidity.cli import data_from_dict, data_to_dict, main, sample_from_dict
+from rigidity import cli, curvature, pinching
+from rigidity.cli import _dump, data_from_dict, data_to_dict, main, sample_from_dict
 from rigidity.curvature import FundamentalData
 from rigidity.immersion import builtin, sample_grid
 from rigidity.models import totally_geodesic, veronese
@@ -164,6 +165,54 @@ class TestCheckCommand:
         assert code == 0 and out == ""
         _, stdout_version, _ = run(capsys, "check", path, "--no-timestamp")
         assert out_file.read_text() == stdout_version
+
+    def test_one_bracket_per_record(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(data, *args, **kwargs):
+            calls.append(data)
+            return curvature.kmin_bracket(data, *args, **kwargs)
+
+        for module in (cli, pinching):
+            monkeypatch.setattr(module, "kmin_bracket", counted)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)),
+                                     data_to_dict(totally_geodesic(3, 2, 1.0))]))
+        code, out, _ = run(capsys, "check", str(batch), "--theorem", "thm1",
+                           "--theorem", "itoh", "--theorem", "yau",
+                           "--no-timestamp", "--jobs", "1")
+        assert code == 0
+        assert len(json.loads(out)["records"]) == 2
+        assert len(calls) == 2
+
+
+class TestParseValidation:
+    """Bad field values exit 4 with the record's path#i label."""
+
+    # n and p cases use data whose true value is 1, the integer that true aliases
+    @pytest.mark.parametrize("field,value,base", [
+        ("n", True, FundamentalData(n=1, p=1, c=1.0, forms=np.ones((1, 1, 1)))),
+        ("p", True, totally_geodesic(3, 1, 1.0)),
+        ("mean_index", True, veronese(1.0, 0.6)),
+        ("c", float("nan"), veronese(1.0, 0.6)),
+        ("c", float("inf"), veronese(1.0, 0.6)),
+        ("H_matrices", "nan-entry", veronese(1.0, 0.6)),
+    ], ids=["n-bool", "p-bool", "mean_index-bool", "c-nan", "c-inf", "forms-nan"])
+    def test_bad_field_exits_four(self, capsys, tmp_path, field, value, base):
+        bad = data_to_dict(base)
+        if value == "nan-entry":
+            bad["H_matrices"][1][0][1] = float("nan")
+        else:
+            bad[field] = value
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)), bad]))
+        code, out, err = run(capsys, "check", str(batch), "--no-timestamp")
+        assert code == 4 and out == ""
+        assert f"{batch}#1: " in err and field in err
+
+    def test_reports_never_hold_nan(self):
+        with pytest.raises(ValueError):
+            _dump({"lo": float("nan")}, None)
 
 
 class TestDdvvCommand:

@@ -19,8 +19,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_minimal, random_orthogonal
-from rigidity.curvature import FundamentalData
+from conftest import make_minimal, make_pseudo_umbilical, random_orthogonal
+from rigidity.curvature import FundamentalData, kmin_bracket
 from rigidity.models import (
     product_of_spheres,
     totally_geodesic,
@@ -159,6 +159,19 @@ class TestVerdictFixtures:
         v_mean = verdict(umbilical_sphere(3, 2, 1.0, 0.5), "generalized")
         assert (v_mean.status, v_mean.label) == ("strict", "UmbilicalSphere")
         assert v_mean.threshold == 0.0
+
+
+class TestPrecomputedBracket:
+    @pytest.mark.parametrize("which,data", [
+        ("thm1", make_minimal(4, 2, 1.0, np.random.default_rng(60))),
+        ("itoh", make_minimal(3, 3, 1.0, np.random.default_rng(61))),
+        ("thm2", make_pseudo_umbilical(4, 3, 1.0, 0.8, np.random.default_rng(62))),
+        ("generalized", make_pseudo_umbilical(3, 2, 1.0, 0.5, np.random.default_rng(63))),
+        ("generalized", make_minimal(4, 3, 1.0, np.random.default_rng(64))),
+    ], ids=["thm1", "itoh", "thm2", "generalized-mean", "generalized-minimal"])
+    def test_given_bracket_matches_search(self, which, data):
+        given = verdict(data, which, bracket=kmin_bracket(data, budget=16, seed=0))
+        assert given == verdict(data, which, budget=16, seed=0)
 
 
 class TestHypotheses:
