@@ -25,7 +25,6 @@ from .curvature import Bracket, FundamentalData, invariants, kmin_bracket
 from .immersion import BUILTINS, PointSample, builtin, sample_grid
 from .models import MODEL_KINDS, ModelSpec, build_model
 from .pinching import THEOREMS, HypothesisError, PinchVerdict, severity, verdict
-from .symmat import random_tuple
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -264,16 +263,20 @@ def cmd_check(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     stamp = _timestamp(args)
+
+    def check(item):
+        label, data = item
+        try:
+            return _check_one(label, data, args, stamp)
+        except ValueError as exc:  # HypothesisError included
+            raise ValueError(f"{label}: {exc}") from exc
+
     try:
         if args.jobs > 1 and len(items) > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(
-                    lambda it: _check_one(it[0], it[1], args, stamp), items))
+                records = list(pool.map(check, items))
         else:
-            records = [_check_one(label, data, args, stamp) for label, data in items]
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+            records = [check(item) for item in items]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -296,9 +299,7 @@ def cmd_ddvv(args) -> int:
             batch = min(4096, trials - done)
             g = rng.normal(size=(batch, m, n, n))
             t = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
-            ab = np.einsum("trik,tskj->trsij", t, t)
-            comm = ab - np.transpose(ab, (0, 2, 1, 3, 4))
-            lhs = np.einsum("trsij,trsij->t", comm, comm)
+            lhs = ddvv_mod.commutator_energy(t)
             total = np.einsum("trij,trij->t", t, t)
             rhs = total * total
             ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)

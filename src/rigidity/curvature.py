@@ -18,9 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import rotate_tuple, symmetrize
+from .symmat import rotate_tuple, seed_sequence, signfix, symmetrize
 
 TRACE_TOL = 1e-10
+
+
+def negligible_trace(size: float, forms: np.ndarray, tol: float = TRACE_TOL) -> bool:
+    """Whether a trace magnitude (chosen by the caller) is zero at scale max(1, n max|h|)."""
+    return float(size) <= tol * max(1.0, float(np.max(np.abs(forms))) * forms.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,15 +52,13 @@ class FundamentalData:
             raise ValueError(
                 f"forms must have shape ({self.p}, {self.n}, {self.n}), got {forms.shape}"
             )
-        forms = np.stack([symmetrize(f) for f in forms])
+        forms = symmetrize(forms)
         object.__setattr__(self, "forms", forms)
         if self.mean_index is not None:
             if not 0 <= self.mean_index < self.p:
                 raise ValueError(f"mean_index {self.mean_index} out of range for p={self.p}")
-            traces = np.einsum("aii->a", forms)
-            scale = max(1.0, float(np.max(np.abs(forms))) * self.n)
-            others = np.delete(traces, self.mean_index)
-            if others.size and np.max(np.abs(others)) > TRACE_TOL * scale:
+            others = np.delete(np.einsum("aii->a", forms), self.mean_index)
+            if others.size and not negligible_trace(np.max(np.abs(others)), forms):
                 raise ValueError(
                     "mean_index set but another member has nonzero trace "
                     f"(max {np.max(np.abs(others)):.3e})"
@@ -81,6 +84,15 @@ class FundamentalData:
         if self.mean_index is None:
             return tuple(range(self.p))
         return tuple(i for i in range(self.p) if i != self.mean_index)
+
+    def restriction(self, restrict=None) -> tuple[int, ...]:
+        """Validated normal indices of `restrict`: distinct, in range; all when None."""
+        if restrict is None:
+            return tuple(range(self.p))
+        idx = tuple(int(i) for i in restrict)
+        if len(set(idx)) != len(idx) or any(not 0 <= i < self.p for i in idx):
+            raise ValueError(f"restriction indices out of range or repeated: {restrict}")
+        return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,10 +311,9 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
     lo = float(np.linalg.eigvalsh(curvature_operator(tensor))[0])
 
     eye = np.eye(data.n)
-    ss = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
     starts = ([np.column_stack([eye[i], eye[j]]) for (i, j) in _pair_basis(data.n)]
               + [np.random.default_rng(child).normal(size=(data.n, 2))
-                 for child in ss.spawn(max(0, budget))])
+                 for child in seed_sequence(seed).spawn(max(0, budget))])
     hi = float(np.min(_descend_frames(data, np.stack(starts), iters)))
     # hi is a sectional value, so hi >= K_min >= lo up to evaluation round-off;
     # clamp the few-ulp drift so the bracket invariant holds exactly.
@@ -310,16 +321,6 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
 
 
 # -- frame normalizations -----------------------------------------------------
-
-def _signfix_columns(v: np.ndarray) -> np.ndarray:
-    """Flip eigenvector signs so each column's largest-|.| entry is positive."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        lead = np.argmax(np.abs(v[:, k]))
-        if v[lead, k] < 0:
-            v[:, k] = -v[:, k]
-    return v
-
 
 def align_mean_frame(data: FundamentalData) -> FundamentalData:
     """Rotate the normal frame so the mean curvature sits in one member.
@@ -332,8 +333,7 @@ def align_mean_frame(data: FundamentalData) -> FundamentalData:
         return data
     traces = data.traces
     norm = float(np.linalg.norm(traces))
-    scale = max(1.0, float(np.max(np.abs(data.forms))) * data.n)
-    if norm <= TRACE_TOL * scale:
+    if negligible_trace(norm, data.forms):
         return data
     tau = traces / norm
     # Householder reflection mapping tau to e_0, negated into a rotation-like
@@ -362,21 +362,16 @@ def gram_diagonalize(data: FundamentalData, restrict=None) -> FundamentalData:
     positions, reordered by descending Gram eigenvalue with a deterministic
     eigenvector sign fix.
     """
-    if restrict is None:
-        idx = data.non_mean_indices()
-    else:
-        idx = tuple(int(i) for i in restrict)
-        if len(set(idx)) != len(idx) or any(not 0 <= i < data.p for i in idx):
-            raise ValueError(f"restrict indices out of range or repeated: {restrict}")
-        if data.mean_index is not None and data.mean_index in idx:
-            raise ValueError("the mean member cannot be Gram-diagonalized away")
+    idx = data.non_mean_indices() if restrict is None else data.restriction(restrict)
+    if data.mean_index in idx:
+        raise ValueError("the mean member cannot be Gram-diagonalized away")
     if not idx:
         return data
     sub = data.forms[list(idx)]
     gram = np.einsum("aij,bij->ab", sub, sub)
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1]
-    vecs = _signfix_columns(vecs[:, order])
+    vecs = signfix(vecs[:, order])
     rotated = rotate_tuple(sub, vecs.T)
     forms = data.forms.copy()
     for slot, mat in zip(idx, rotated):

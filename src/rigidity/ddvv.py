@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import as_tuple, rotate_tuple
+from .symmat import as_tuple, random_tuple, rotate_tuple, seed_sequence, signfix
 
 EQUALITY_RTOL = 1e-8
 
@@ -59,22 +59,29 @@ class MaximizeResult:
     history: list
 
 
-def commutator_energy(t: np.ndarray) -> float:
+def _commutators(t: np.ndarray) -> np.ndarray:
+    """[B_r, B_s] for every ordered pair: (..., m, n, n) -> (..., m, m, n, n)."""
+    ab = np.einsum("...rik,...skj->...rsij", t, t)
+    return ab - np.swapaxes(ab, -4, -3)
+
+
+def commutator_energy(t: np.ndarray):
     """Raw objective sum_{r,s} ||B_r B_s - B_s B_r||^2 over ordered pairs.
 
-    No symmetry validation — this is the optimizer/finite-difference hot path.
+    A float for one (m, n, n) tuple, an array for a (..., m, n, n) stack of
+    them; each tuple's value has the same bits either way.  No symmetry
+    validation — this is the optimizer/finite-difference hot path.
     """
-    t = np.asarray(t, dtype=float)
-    ab = np.einsum("rik,skj->rsij", t, t)
-    comm = ab - np.transpose(ab, (1, 0, 2, 3))
-    return float(np.sum(comm * comm))
+    comm = _commutators(np.asarray(t, dtype=float))
+    comm *= comm  # in place: a batch holds no third stack-sized array
+    energy = np.sum(comm, axis=(-4, -3, -2, -1))
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def energy_gradient(t: np.ndarray) -> np.ndarray:
     """Gradient of commutator_energy at a symmetric tuple: 4 sum_s [[B_r,B_s],B_s]."""
     t = np.asarray(t, dtype=float)
-    ab = np.einsum("rik,skj->rsij", t, t)
-    comm = ab - np.transpose(ab, (1, 0, 2, 3))
+    comm = _commutators(t)
     return 4.0 * (np.einsum("rsik,skj->rij", comm, t)
                   - np.einsum("sik,rskj->rij", t, comm))
 
@@ -124,15 +131,6 @@ def extremal_pair(n: int, m: int, mu: float, rotation: np.ndarray | None = None,
     return out
 
 
-def _signfix_columns(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for k in range(v.shape[1]):
-        lead = np.argmax(np.abs(v[:, k]))
-        if v[lead, k] < 0:
-            v[:, k] = -v[:, k]
-    return v
-
-
 def _complete_basis(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full orthonormal basis, deterministically."""
     n, k = cols.shape
@@ -144,10 +142,7 @@ def _complete_basis(cols: np.ndarray) -> np.ndarray:
             cand = cand - (b @ cand) * b
         nrm = np.linalg.norm(cand)
         if nrm > 1e-8:
-            cand /= nrm
-            if cand[np.argmax(np.abs(cand))] < 0:
-                cand = -cand
-            basis.append(cand)
+            basis.append(signfix(cand / nrm))
         if len(basis) == n:
             break
     return np.column_stack(basis)
@@ -175,7 +170,7 @@ def detect_equality(t, tol: float = 1e-6) -> ExtremalStructure | None:
     vals, vecs = np.linalg.eigh(gram)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    q = _signfix_columns(vecs[:, order]).T
+    q = signfix(vecs[:, order]).T
     rot = rotate_tuple(t, q)
     a, b = rot[0], rot[1]
     offplane = float(np.sqrt(max(0.0, np.sum(rot[2:] ** 2)))) if m > 2 else 0.0
@@ -184,7 +179,7 @@ def detect_equality(t, tol: float = 1e-6) -> ExtremalStructure | None:
     # Active tangent plane: top-2 eigenspace of A^2 + B^2 (= 2 mu^2 projector
     # at exact equality).
     qvals, qvecs = np.linalg.eigh(a @ a + b @ b)
-    plane = _signfix_columns(qvecs[:, np.argsort(qvals)[::-1][:2]])
+    plane = signfix(qvecs[:, np.argsort(qvals)[::-1][:2]])
 
     # In-plane, traceless symmetric 2x2 matrices are x*diag(1,-1) + y*offdiag(1);
     # conjugating by the rotation R_phi spins (x, y) by -2 phi.  Park A at
@@ -223,13 +218,10 @@ def maximize_ratio(n: int, m: int, seed=0, starts: int = 32,
     """
     if m < 2 or n < 2:
         return MaximizeResult(tuple=np.zeros((max(m, 0), n, n)), ratio=0.0, history=[])
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     best_t, best_f = None, -np.inf
     history: list[float] = []
-    for child in ss.spawn(starts):
-        rng = np.random.default_rng(child)
-        g = rng.normal(size=(m, n, n))
-        t = (g + np.transpose(g, (0, 2, 1))) / 2.0
+    for child in seed_sequence(seed).spawn(starts):
+        t = random_tuple(n, m, np.random.default_rng(child))
         t /= np.sqrt(np.sum(t * t))
         f = commutator_energy(t)
         for _ in range(iters):

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import FundamentalData
+from .symmat import signfix
 
 DEFAULT_STEP = 1e-4
 
@@ -84,6 +85,11 @@ def _eval(spec: ImmersionSpec, u: np.ndarray) -> np.ndarray:
 
 def differentiate(spec: ImmersionSpec, u, step: float = DEFAULT_STEP):
     """Jacobian (N, n) and symmetric Hessian stack (N, n, n), O(step^2)."""
+    return _jets(spec, u, step)[1:]
+
+
+def _jets(spec: ImmersionSpec, u, step: float):
+    """F(u), the Jacobian and the Hessian stack from one central-difference stencil."""
     u = np.asarray(u, dtype=float)
     if u.shape != (spec.n,):
         raise ValueError(f"parameter point has shape {u.shape}, expected ({spec.n},)")
@@ -106,7 +112,7 @@ def differentiate(spec: ImmersionSpec, u, step: float = DEFAULT_STEP):
             mixed = (pp - pm - mp + mm) / (4 * step**2)
             hess[:, i, j] = mixed
             hess[:, j, i] = mixed
-    return jac, hess
+    return f0, jac, hess
 
 
 def _unit(n: int, i: int) -> np.ndarray:
@@ -126,17 +132,23 @@ def frames(spec: ImmersionSpec, u, step: float = DEFAULT_STEP, jac=None):
     u = np.asarray(u, dtype=float)
     if jac is None:
         jac, _ = differentiate(spec, u, step)
-    metric = jac.T @ jac
-    vals, vecs = np.linalg.eigh(metric)
+    return _frames(spec, u, _eval(spec, u), jac, _whitening(jac, u))
+
+
+def _whitening(jac: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse square root of the metric jac^T jac; raises where it degenerates."""
+    vals, vecs = np.linalg.eigh(jac.T @ jac)
     if vals[0] <= 1e-12 * max(1.0, vals[-1]):
         raise ValueError(f"immersion is degenerate at u={u.tolist()}: "
                          f"metric eigenvalues {vals.tolist()}")
-    white = vecs @ np.diag(vals**-0.5) @ vecs.T
-    tangent = (jac @ white).T
+    return vecs @ np.diag(vals**-0.5) @ vecs.T
 
+
+def _frames(spec: ImmersionSpec, u, pos, jac, white):
+    """frames() from the position F(u), the Jacobian and its whitening."""
+    tangent = (jac @ white).T
     span = [tangent[i] for i in range(spec.n)]
     if spec.ambient.kind == "sphere":
-        pos = _eval(spec, u)
         r = np.linalg.norm(pos)
         if abs(r - spec.ambient.radius) > 1e-8 * spec.ambient.radius:
             raise ValueError(
@@ -156,9 +168,7 @@ def frames(spec: ImmersionSpec, u, step: float = DEFAULT_STEP, jac=None):
         pick = int(np.argmax(norms))
         if norms[pick] < 1e-8:
             raise ValueError("could not complete the normal frame: residuals collapsed")
-        vec = residues[pick] / norms[pick]
-        if vec[np.argmax(np.abs(vec))] < 0:
-            vec = -vec
+        vec = signfix(residues[pick] / norms[pick])
         normal.append(vec)
         residues -= np.outer(residues @ vec, vec)
     return tangent, np.stack(normal)
@@ -172,19 +182,13 @@ def second_fundamental_form(spec: ImmersionSpec, u, step: float = DEFAULT_STEP) 
     which is exactly the sphere-valued second fundamental form.
     """
     u = np.asarray(u, dtype=float)
-    jac, hess = differentiate(spec, u, step)
-    metric = jac.T @ jac
-    vals, vecs = np.linalg.eigh(metric)
-    if vals[0] <= 1e-12 * max(1.0, vals[-1]):
-        raise ValueError(f"immersion is degenerate at u={u.tolist()}: "
-                         f"metric eigenvalues {vals.tolist()}")
-    white = vecs @ np.diag(vals**-0.5) @ vecs.T
-    tangent, normal = frames(spec, u, step, jac=jac)
+    pos, jac, hess = _jets(spec, u, step)
+    white = _whitening(jac, u)
+    tangent, normal = _frames(spec, u, pos, jac, white)
     hess_frame = np.einsum("amn,mi,nj->aij", hess, white, white)
-    forms = np.einsum("pa,aij->pij", normal, hess_frame)
-    forms = (forms + np.transpose(forms, (0, 2, 1))) / 2.0  # kill FD round-off skew
+    forms = np.einsum("pa,aij->pij", normal, hess_frame)  # FundamentalData symmetrizes
     data = FundamentalData(n=spec.n, p=spec.p, c=spec.ambient.curvature, forms=forms)
-    return PointSample(params=u, position=_eval(spec, u), tangent=tangent,
+    return PointSample(params=u, position=pos, tangent=tangent,
                        normal=normal, data=data)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import FundamentalData, TRACE_TOL
+from .curvature import FundamentalData, negligible_trace
 
 
 def totally_geodesic(n: int, p: int, c: float) -> FundamentalData:
@@ -74,8 +74,7 @@ def pseudo_umbilical_extend(data: FundamentalData, H: float, c: float) -> Fundam
     Models a pseudo-umbilical submanifold with parallel mean curvature H built
     over a minimal one: extend(veronese(c + H^2, 0), H, c) == veronese(c, H).
     """
-    scale = max(1.0, float(np.max(np.abs(data.forms))) * data.n)
-    if np.max(np.abs(data.traces)) > TRACE_TOL * scale:
+    if not negligible_trace(np.max(np.abs(data.traces)), data.forms):
         raise ValueError("pseudo-umbilical extension needs minimal (traceless) data")
     if H == 0:
         raise ValueError("extension with H = 0 is the minimal datum itself")

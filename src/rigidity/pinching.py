@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ddvv
-from .curvature import Bracket, FundamentalData, invariants, kmin_bracket
+from .curvature import Bracket, FundamentalData, invariants, kmin_bracket, negligible_trace
 from .symmat import commutes, sgn
 
 THEOREMS = ("yau", "itoh", "thm1", "thm2", "generalized")
@@ -93,11 +93,6 @@ def threshold_generalized(p: int, n: int, c: float, H: float) -> float:
 
 # -- structural predicates ----------------------------------------------------
 
-def _is_minimal(data: FundamentalData, tol: float) -> bool:
-    scale = max(1.0, float(np.max(np.abs(data.forms))) * data.n)
-    return bool(np.max(np.abs(data.traces)) <= tol * scale)
-
-
 def _is_pseudo_umbilical(data: FundamentalData, tol: float) -> bool:
     if data.mean_index is None:
         return False
@@ -157,7 +152,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     if which not in THEOREMS:
         raise ValueError(f"unknown theorem {which!r}, expected one of {THEOREMS}")
     inv = invariants(data)
-    minimal = _is_minimal(data, tol)
+    minimal = negligible_trace(np.max(np.abs(data.traces)), data.forms, tol)
     soft = 1e-6  # structural predicate tolerance, looser than the verdict gate
 
     if which in ("yau", "itoh", "thm1"):

@@ -44,15 +44,6 @@ class ContractionReport:
     restriction: tuple[int, ...]
 
 
-def _resolve_restrict(data: FundamentalData, restrict) -> tuple[int, ...]:
-    if restrict is None:
-        return tuple(range(data.p))
-    idx = tuple(int(i) for i in restrict)
-    if len(set(idx)) != len(idx) or any(not 0 <= i < data.p for i in idx):
-        raise ValueError(f"restriction indices out of range or repeated: {restrict}")
-    return idx
-
-
 def curvature_contraction(data: FundamentalData, tensor=None, restrict=None) -> float:
     """T_curv = sum_a [ sum_ijm h^a_ij h^a_mi Ric_mj - sum_ijkm h^a_ij h^a_km R_mijk ].
 
@@ -60,7 +51,7 @@ def curvature_contraction(data: FundamentalData, tensor=None, restrict=None) -> 
     in an eigenframe of a single form this is sum_{i<j} (lam_i - lam_j)^2 K_ij,
     which is what the pinching argument bounds below by n K_min S.
     """
-    idx = _resolve_restrict(data, restrict)
+    idx = data.restriction(restrict)
     comp = (tensor if tensor is not None else riemann(data)).components
     h = data.forms[list(idx)]
     ric = np.einsum("mkjk->mj", comp)
@@ -80,7 +71,7 @@ def _pair_traces(data: FundamentalData, idx):
 
 def n_comm_value(data: FundamentalData, restrict=None) -> float:
     """sum over restricted ordered pairs of tr(H_a^2 H_b^2) - tr((H_a H_b)^2)."""
-    idx = _resolve_restrict(data, restrict)
+    idx = data.restriction(restrict)
     sub = data.forms[list(idx)]
     hsq = np.einsum("aik,akj->aij", sub, sub)
     prod = np.einsum("aik,bkj->abij", sub, sub)
@@ -91,7 +82,7 @@ def n_comm_value(data: FundamentalData, restrict=None) -> float:
 
 def g_sq_value(data: FundamentalData, restrict=None) -> float:
     """sum over restricted ordered pairs of tr(H_a H_b)^2 (Gram norm squared)."""
-    idx = _resolve_restrict(data, restrict)
+    idx = data.restriction(restrict)
     sub = data.forms[list(idx)]
     gram = np.einsum("aij,bij->ab", sub, sub)
     return float(np.sum(gram * gram))
@@ -128,7 +119,7 @@ def gauss_expansion_check(data: FundamentalData, restrict=None) -> float:
     minimal data with the full restriction, or pseudo-umbilical data with the
     mean member excluded.
     """
-    idx = _resolve_restrict(data, restrict)
+    idx = data.restriction(restrict)
     t_curv = curvature_contraction(data, restrict=idx)
     traces = data.traces
     _, _, gram_sub, sq_vs_all = _pair_traces(data, idx)
@@ -140,14 +131,14 @@ def gauss_expansion_check(data: FundamentalData, restrict=None) -> float:
 
 def commutator_trace_identity(data: FundamentalData, restrict=None) -> tuple[float, float]:
     """(N_comm, its DDVV bound): N_comm <= sgn(m-1)/2 * S~^2 over the restriction."""
-    idx = _resolve_restrict(data, restrict)
+    idx = data.restriction(restrict)
     s_tilde = float(np.sum(data.forms[list(idx)] ** 2))
     bound = 0.5 * sgn(len(idx) - 1) * s_tilde**2
     return n_comm_value(data, idx), bound
 
 
 def contraction_report(data: FundamentalData, tensor=None, restrict=None) -> ContractionReport:
-    idx = _resolve_restrict(data, restrict)
+    idx = data.restriction(restrict)
     t_mixed = mean_coupling(data) if data.mean_index is not None else None
     return ContractionReport(
         T_curv=curvature_contraction(data, tensor, idx),

@@ -17,21 +17,26 @@ ORTHOGONALITY_TOL = 1e-10
 
 
 def symmetrize(a: np.ndarray, tol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Validate near-symmetry of a square matrix and return (A + A^T)/2.
+    """Validate a square matrix or an (..., n, n) stack and return (A + A^T)/2.
 
-    Entries must satisfy |a_ij - a_ji| <= tol * max(1, max|a_ij|); anything
-    worse is treated as corrupt input rather than round-off.
+    Entries must be finite and satisfy |a_ij - a_ji| <= tol * max(1, max|a_ij|)
+    per matrix; anything worse is treated as corrupt input rather than
+    round-off, and the error describes the first bad matrix.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise ValueError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
-    bound = tol * max(1.0, float(np.max(np.abs(a))))
-    skew = float(np.max(np.abs(a - a.T)))
-    if skew > bound:
-        raise ValueError(
-            f"matrix is not symmetric: max |a_ij - a_ji| = {skew:.3e} exceeds {bound:.3e}"
-        )
-    return (a + a.T) / 2.0
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    at = np.swapaxes(a, -1, -2)
+    bound = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    skew = np.max(np.abs(a - at), axis=(-2, -1))
+    bad = np.flatnonzero(skew > bound)
+    if bad.size:
+        first = np.unravel_index(bad[0], skew.shape)
+        raise ValueError(f"matrix is not symmetric: max |a_ij - a_ji| = {skew[first]:.3e} "
+                         f"exceeds {bound[first]:.3e}")
+    return (a + at) / 2.0
 
 
 def as_tuple(mats, dim: int | None = None) -> np.ndarray:
@@ -54,7 +59,7 @@ def as_tuple(mats, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"tuple dimension {stack.shape[1]} does not match required {dim}")
     if stack.shape[0] == 0:
         return np.asarray(stack, dtype=float)
-    return np.stack([symmetrize(m) for m in stack])
+    return symmetrize(stack)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,6 +113,17 @@ def commutes(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
     return frob_norm_sq(commutator(a, b)) <= (tol * scale) ** 2
 
 
+def signfix(v: np.ndarray) -> np.ndarray:
+    """Flip signs so each column of v (v itself, if 1-d) has its largest-|.| entry positive.
+
+    Ties go to the first entry; a zero column is left as is.  This fixes the
+    sign freedom of eigenvectors and frame vectors deterministically.
+    """
+    v = np.asarray(v, dtype=float)
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)
+    return np.where(lead < 0, -v, v)
+
+
 def sgn(x) -> int:
     """Standard sign: -1, 0, or +1 (sgn(0) = 0)."""
     if x > 0:
@@ -119,27 +135,20 @@ def sgn(x) -> int:
 
 # -- seeded random instances --------------------------------------------------
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def random_symmetric(dim: int, seed=0, scale: float = 1.0) -> np.ndarray:
-    """Symmetrized Gaussian matrix; deterministic per seed (Generator ok too)."""
-    g = _rng(seed).normal(size=(dim, dim)) * scale
-    return (g + g.T) / 2.0
-
-
-def random_traceless_symmetric(dim: int, seed=0, scale: float = 1.0) -> np.ndarray:
-    a = random_symmetric(dim, seed, scale)
-    return a - (np.trace(a) / dim) * np.eye(dim)
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """A SeedSequence as is; anything else (int, None, entropy list) wrapped in one."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def random_tuple(dim: int, count: int, seed=0, scale: float = 1.0,
                  traceless: bool = False) -> np.ndarray:
-    """Stack of independent random symmetric matrices from one generator."""
-    rng = _rng(seed)
-    draw = random_traceless_symmetric if traceless else random_symmetric
-    return np.stack([draw(dim, rng, scale) for _ in range(count)]) if count else \
-        np.zeros((0, dim, dim))
+    """(count, dim, dim) stack of symmetrized Gaussian matrices from one generator.
+
+    Deterministic per seed (a Generator is used as is); traceless removes
+    each member's trace part.
+    """
+    g = np.random.default_rng(seed).normal(size=(count, dim, dim)) * scale
+    t = (g + np.swapaxes(g, 1, 2)) / 2.0
+    if traceless:
+        t -= (np.trace(t, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    return t

@@ -15,6 +15,7 @@ import pytest
 from rigidity import cli, curvature, pinching
 from rigidity.cli import _dump, data_from_dict, data_to_dict, main, sample_from_dict
 from rigidity.curvature import FundamentalData
+from rigidity.ddvv import evaluate as ddvv_evaluate
 from rigidity.immersion import builtin, sample_grid
 from rigidity.models import totally_geodesic, veronese
 from rigidity.pinching import (
@@ -354,3 +355,27 @@ class TestUsageErrors:
     def test_exit_five(self, capsys, argv):
         assert main(list(argv)) == 5
         capsys.readouterr()
+
+
+class TestSharedKernelsInCli:
+    def test_batch_hypothesis_error_names_the_record(self, capsys, tmp_path):
+        path = tmp_path / "batch.json"
+        good = data_to_dict(veronese(1.0, 0.0))
+        path.write_text(json.dumps([good, data_to_dict(veronese(1.0, 0.6)), good]))
+        code, out, err = run(capsys, "check", str(path), "--theorem", "thm1",
+                             "--no-timestamp", "--jobs", "1")
+        assert code == 3 and out == ""
+        assert f"error: {path}#1: thm1 requires minimal data" in err
+        assert "#0" not in err and "#2" not in err
+
+    # On these seeds an einsum reduction of the energy differs from the shared
+    # kernel's pairwise sum in the last bit, so a second copy in the CLI shows.
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_random_sweep_uses_the_shared_energy(self, capsys, seed):
+        code, out, _ = run(capsys, "ddvv", "--random", "3", "2", "50", "--seed", str(seed),
+                           "--no-timestamp")
+        assert code == 0
+        g = np.random.default_rng(seed).normal(size=(50, 2, 3, 3))
+        tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
+        loop = max(ddvv_evaluate(t).ratio for t in tuples)
+        assert json.loads(out)["max_ratio"] == loop
