@@ -25,6 +25,7 @@ from .curvature import Bracket, FundamentalData, invariants, kmin_bracket
 from .immersion import BUILTINS, PointSample, builtin, sample_grid
 from .models import MODEL_KINDS, ModelSpec, build_model
 from .pinching import THEOREMS, HypothesisError, PinchVerdict, severity, verdict
+from .symmat import random_tuple
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -88,14 +89,13 @@ def verdict_to_dict(v: PinchVerdict) -> dict:
 
 
 def ddvv_to_dict(report) -> dict:
-    out = {
+    return {
         "lhs": report.lhs,
         "rhs": report.rhs,
         "ratio": report.ratio,
         "equality": report.equality,
+        "extremal_structure": extremal_to_dict(report.extremal_structure),
     }
-    out["extremal_structure"] = extremal_to_dict(report.extremal_structure)
-    return out
 
 
 def extremal_to_dict(s) -> dict | None:
@@ -294,18 +294,15 @@ def cmd_ddvv(args) -> int:
         rng = np.random.default_rng(args.seed)
         best = 0.0
         violations = 0
-        done = 0
-        while done < trials:
+        for done in range(0, trials, 4096):
             batch = min(4096, trials - done)
-            g = rng.normal(size=(batch, m, n, n))
-            t = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
+            t = random_tuple(n, batch * m, rng).reshape(batch, m, n, n)
             lhs = ddvv_mod.commutator_energy(t)
             total = np.einsum("trij,trij->t", t, t)
             rhs = total * total
             ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
             best = max(best, float(np.max(ratio)))
             violations += int(np.sum(ratio > 1.0 + 1e-12))
-            done += batch
         _dump({"mode": "random", "n": n, "m": m, "trials": trials,
                "seed": args.seed, "max_ratio": best, "violations": violations,
                "timestamp": _timestamp(args)}, args.out)

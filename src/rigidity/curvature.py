@@ -47,6 +47,8 @@ class FundamentalData:
     def __post_init__(self):
         if self.n < 1 or self.p < 1:
             raise ValueError(f"need n >= 1 and p >= 1, got n={self.n}, p={self.p}")
+        if not np.isfinite(self.c):
+            raise ValueError(f"ambient curvature c must be finite, got c={self.c}")
         forms = np.asarray(self.forms, dtype=float)
         if forms.shape != (self.p, self.n, self.n):
             raise ValueError(

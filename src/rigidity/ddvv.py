@@ -13,6 +13,7 @@ numerically by projected gradient ascent on the Frobenius sphere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,12 @@ class MaximizeResult:
     history: list
 
 
-def _commutators(t: np.ndarray) -> np.ndarray:
-    """[B_r, B_s] for every ordered pair: (..., m, n, n) -> (..., m, m, n, n)."""
-    ab = np.einsum("...rik,...skj->...rsij", t, t)
-    return ab - np.swapaxes(ab, -4, -3)
+def _pair_commutators(t: np.ndarray):
+    """Yield r, s and [B_r, B_s], one (..., n, n) stack, for each pair r < s."""
+    for r, s in itertools.combinations(range(t.shape[-3]), 2):
+        comm = t[..., r, :, :] @ t[..., s, :, :]
+        comm -= t[..., s, :, :] @ t[..., r, :, :]  # not (AB)^T: finite differences leave Sym
+        yield r, s, comm
 
 
 def commutator_energy(t: np.ndarray):
@@ -72,18 +75,22 @@ def commutator_energy(t: np.ndarray):
     them; each tuple's value has the same bits either way.  No symmetry
     validation — this is the optimizer/finite-difference hot path.
     """
-    comm = _commutators(np.asarray(t, dtype=float))
-    comm *= comm  # in place: a batch holds no third stack-sized array
-    energy = np.sum(comm, axis=(-4, -3, -2, -1))
+    t = np.asarray(t, dtype=float)
+    energy = np.zeros(t.shape[:-3])
+    for _, _, comm in _pair_commutators(t):
+        energy += np.einsum("...ij,...ij->...", comm, comm)
+    energy *= 2.0  # ordered pairs: [B_s, B_r] = -[B_r, B_s]
     return float(energy) if energy.ndim == 0 else energy
 
 
 def energy_gradient(t: np.ndarray) -> np.ndarray:
-    """Gradient of commutator_energy at a symmetric tuple: 4 sum_s [[B_r,B_s],B_s]."""
+    """Gradient of commutator_energy at a symmetric tuple or stack: 4 sum_s [[B_r,B_s],B_s]."""
     t = np.asarray(t, dtype=float)
-    comm = _commutators(t)
-    return 4.0 * (np.einsum("rsik,skj->rij", comm, t)
-                  - np.einsum("sik,rskj->rij", t, comm))
+    grad = np.zeros_like(t)
+    for r, s, comm in _pair_commutators(t):  # C_sr = -C_rs feeds member s
+        grad[..., r, :, :] += comm @ t[..., s, :, :] - t[..., s, :, :] @ comm
+        grad[..., s, :, :] -= comm @ t[..., r, :, :] - t[..., r, :, :] @ comm
+    return 4.0 * grad
 
 
 def evaluate(t) -> DdvvReport:
@@ -159,9 +166,7 @@ def detect_equality(t, tol: float = 1e-6) -> ExtremalStructure | None:
     if m < 2 or n < 2:
         return None
     total = float(np.einsum("rij,rij->", t, t))
-    if total <= 0:
-        return None
-    if commutator_energy(t) / total**2 < 1.0 - tol:
+    if total <= 0 or commutator_energy(t) / total**2 < 1.0 - tol:
         return None
 
     # Normal rotation from the Gram spectrum: the two dominant directions

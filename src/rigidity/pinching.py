@@ -203,8 +203,11 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
         bracket = kmin_bracket(data, budget=budget, seed=seed)
     status = _classify(bracket, threshold, tol)
 
+    # ddvv.evaluate's ratio and guard, without re-validating the forms
     sub = data.forms[list(restriction)]
-    ratio = ddvv.evaluate(sub).ratio if len(restriction) else 0.0
+    total = float(np.einsum("rij,rij->", sub, sub))
+    rhs = total * total
+    ratio = ddvv.commutator_energy(sub) / rhs if rhs > 0 else 0.0
     ddvv_equality = ratio >= 1.0 - 1e-6
     collapsed = bracket.hi - bracket.lo <= soft * max(1.0, abs(bracket.hi))
 

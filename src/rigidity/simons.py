@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import FundamentalData, invariants, riemann
+from .ddvv import commutator_energy
 from .symmat import sgn
 
 MINIMAL = "minimal"
@@ -60,24 +61,14 @@ def curvature_contraction(data: FundamentalData, tensor=None, restrict=None) -> 
     return float(term_ric - term_cross)
 
 
-def _pair_traces(data: FundamentalData, idx):
-    h = data.forms
-    sub = h[list(idx)]
-    hsq = np.einsum("aik,akj->aij", sub, sub)
-    gram_sub = np.einsum("aij,bij->ab", sub, h)          # tr(H_a H_b), a in idx, b all
-    sq_vs_all = np.einsum("aij,bji->ab", hsq, h)         # tr(H_a^2 H_b)
-    return sub, hsq, gram_sub, sq_vs_all
-
-
 def n_comm_value(data: FundamentalData, restrict=None) -> float:
-    """sum over restricted ordered pairs of tr(H_a^2 H_b^2) - tr((H_a H_b)^2)."""
+    """sum over restricted ordered pairs of tr(H_a^2 H_b^2) - tr((H_a H_b)^2).
+
+    For symmetric forms each term is ||[H_a, H_b]||^2 / 2, so this is half
+    the commutator energy of the restriction.
+    """
     idx = data.restriction(restrict)
-    sub = data.forms[list(idx)]
-    hsq = np.einsum("aik,akj->aij", sub, sub)
-    prod = np.einsum("aik,bkj->abij", sub, sub)
-    quart = np.einsum("aij,bji->ab", hsq, hsq)
-    cyc = np.einsum("abij,abji->ab", prod, prod)
-    return float(np.sum(quart - cyc))
+    return commutator_energy(data.forms[list(idx)]) / 2.0
 
 
 def g_sq_value(data: FundamentalData, restrict=None) -> float:
@@ -121,10 +112,12 @@ def gauss_expansion_check(data: FundamentalData, restrict=None) -> float:
     """
     idx = data.restriction(restrict)
     t_curv = curvature_contraction(data, restrict=idx)
-    traces = data.traces
-    _, _, gram_sub, sq_vs_all = _pair_traces(data, idx)
-    s_tilde = float(np.sum(data.forms[list(idx)] ** 2))
-    mid = float(np.einsum("b,ab->", traces, sq_vs_all)) - float(np.sum(gram_sub**2))
+    h = data.forms
+    sub = h[list(idx)]
+    gram_sub = np.einsum("aij,bij->ab", sub, h)  # tr(H_a H_b), a in idx, b all
+    sq_vs_all = np.einsum("aij,bji->ab", np.einsum("aik,akj->aij", sub, sub), h)  # tr(H_a^2 H_b)
+    s_tilde = float(np.sum(sub**2))
+    mid = float(np.einsum("b,ab->", data.traces, sq_vs_all)) - float(np.sum(gram_sub**2))
     rhs = data.n * data.c * s_tilde + mid - n_comm_value(data, idx)
     return abs(t_curv - rhs)
 

@@ -296,3 +296,9 @@ class TestGramDiagonalize:
         data = umbilical_sphere(3, 2, 1.0, 0.5)
         with pytest.raises(ValueError):
             gram_diagonalize(data, restrict=[0])
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_non_finite_ambient_curvature_is_rejected(c):
+    with pytest.raises(ValueError, match="ambient curvature c must be finite"):
+        FundamentalData(n=2, p=1, c=c, forms=np.zeros((1, 2, 2)))
