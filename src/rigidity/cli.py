@@ -254,6 +254,9 @@ def _check_one(label: str, data: FundamentalData, args, stamp) -> ReportRecord:
 
 
 def cmd_check(args) -> int:
+    if args.budget < 0:
+        print("error: --budget must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     args.seed = _resolve_seed(args.seed)
     try:
         items: list[tuple[str, FundamentalData]] = []
@@ -309,6 +312,9 @@ def cmd_ddvv(args) -> int:
         return EXIT_OK if violations == 0 else EXIT_FAILS
     if args.maximize:
         n, m, starts = args.maximize
+        if n < 1 or m < 1 or starts < 1 or args.iters < 0:
+            print("error: --maximize needs positive n, m, starts; --iters >= 0", file=sys.stderr)
+            return EXIT_USAGE
         result = ddvv_mod.maximize_ratio(n, m, seed=args.seed, starts=starts,
                                          iters=args.iters)
         structure = ddvv_mod.detect_equality(result.tuple, tol=1e-6) \

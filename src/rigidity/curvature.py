@@ -305,12 +305,16 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
     guaranteed lower bound); hi is the best sectional value found by one
     batched projected gradient descent over every coordinate plane plus
     `budget` random orthonormal 2-frames, evaluated straight from the forms,
-    so it is attained by an explicit plane.
+    so it is attained by an explicit plane.  At n = 2, Lambda^2 is
+    one-dimensional and lo is K of the only plane (e1, e2): the bracket is
+    exact, hi = lo, and no search runs.
     """
     if data.n < 2:
         raise ValueError("sectional curvature needs n >= 2")
     tensor = riemann(data)
     lo = float(np.linalg.eigvalsh(curvature_operator(tensor))[0])
+    if data.n == 2:
+        return Bracket(lo=lo, hi=lo)
 
     eye = np.eye(data.n)
     starts = ([np.column_stack([eye[i], eye[j]]) for (i, j) in _pair_basis(data.n)]

@@ -53,7 +53,7 @@ class DdvvReport:
 
 @dataclass(frozen=True, eq=False)
 class MaximizeResult:
-    """Best tuple found, its ratio, and the per-iterate ratio trace."""
+    """Best tuple, its ratio, and every accepted step's ratio, start by start (start-major)."""
 
     tuple: np.ndarray
     ratio: float
@@ -217,40 +217,45 @@ def maximize_ratio(n: int, m: int, seed=0, starts: int = 32,
     """Maximize lhs/rhs over tuples by projected gradient ascent.
 
     Multistart on the Frobenius unit sphere (rhs = 1 there, so the objective
-    is the ratio itself); per-iteration backtracking line search from step
-    0.1, halving on non-increase; stops at relative improvement < 1e-14.
-    Degenerate shapes (m < 2 or n < 2) have ratio 0 and return immediately.
+    is the ratio itself), every start in one (starts, m, n, n) stack.  Each
+    start keeps the per-start rule: backtracking from step 0.1, halving while
+    above 1e-16 until the first increase; it stops at ||tangent|| < 1e-16, at
+    a failed line search, at relative improvement < 1e-14 or after `iters`
+    steps, and then leaves the active set.  Degenerate shapes (m < 2 or
+    n < 2) have ratio 0 and return immediately.
     """
+    if starts < 1:
+        raise ValueError(f"need starts >= 1, got {starts}")
     if m < 2 or n < 2:
         return MaximizeResult(tuple=np.zeros((max(m, 0), n, n)), ratio=0.0, history=[])
-    best_t, best_f = None, -np.inf
-    history: list[float] = []
-    for child in seed_sequence(seed).spawn(starts):
-        t = random_tuple(n, m, np.random.default_rng(child))
-        t /= np.sqrt(np.sum(t * t))
-        f = commutator_energy(t)
-        for _ in range(iters):
-            grad = energy_gradient(t)
-            tang = grad - np.sum(grad * t) * t
-            if np.sqrt(np.sum(tang * tang)) < 1e-16:
-                break
-            step, accepted, cand, fc = 0.1, False, t, f
-            while step > 1e-16:
-                trial = t + step * tang
-                trial /= np.sqrt(np.sum(trial * trial))
-                ft = commutator_energy(trial)
-                if ft > f:
-                    accepted, cand, fc = True, trial, ft
-                    break
-                step /= 2.0
-            if not accepted:
-                break
-            gain = fc - f
-            t, f = cand, fc
-            history.append(f)
-            if gain < 1e-14 * max(1.0, f):
-                break
-        if f > best_f:
-            best_t, best_f = t, f
-    report = evaluate(best_t)
-    return MaximizeResult(tuple=best_t, ratio=report.ratio, history=history)
+    def dot(a, b):  # per-tuple Frobenius products, (S, 1, 1, 1)
+        return np.sum(a * b, axis=(1, 2, 3), keepdims=True)
+
+    t = np.stack([random_tuple(n, m, np.random.default_rng(child))
+                  for child in seed_sequence(seed).spawn(starts)])
+    t /= np.sqrt(dot(t, t))
+    f = commutator_energy(t)
+    act, who, vals = np.arange(starts), [np.empty(0, int)], [np.empty(0)]
+    for _ in range(iters):
+        if not act.size:
+            break
+        ta, fa = t[act], f[act]
+        grad = energy_gradient(ta)
+        tang = grad - dot(grad, ta) * ta
+        search, step = np.flatnonzero(np.sqrt(dot(tang, tang)) >= 1e-16), 0.1
+        while search.size and step > 1e-16:
+            trial = ta[search] + step * tang[search]
+            trial /= np.sqrt(dot(trial, trial))
+            ft = commutator_energy(trial)
+            up = ft > fa[search]
+            t[act[search[up]]], f[act[search[up]]] = trial[up], ft[up]
+            search, step = search[~up], step / 2.0
+        fn = f[act]
+        up = fn > fa
+        who.append(act[up])
+        vals.append(fn[up])
+        act = act[up & (fn - fa >= 1e-14 * np.maximum(1.0, fn))]
+    order = np.argsort(np.concatenate(who), kind="stable")  # start-major history
+    best = t[int(np.argmax(f))]
+    return MaximizeResult(tuple=best, ratio=evaluate(best).ratio,
+                          history=np.concatenate(vals)[order].tolist())

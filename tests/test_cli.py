@@ -379,3 +379,47 @@ class TestSharedKernelsInCli:
         tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
         loop = max(ddvv_evaluate(t).ratio for t in tuples)
         assert json.loads(out)["max_ratio"] == loop
+
+
+class TestSearchArguments:
+    """Out-of-range search counts are usage errors, as `--random` counts are."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--maximize", "3", "3", "0"), "--maximize"),
+        (("--maximize", "0", "3", "4"), "--maximize"),
+        (("--maximize", "3", "-1", "2"), "--maximize"),
+        (("--maximize", "2", "2", "2", "--iters", "-1"), "--iters"),
+    ])
+    def test_maximize_rejects(self, capsys, argv, flag):
+        code, out, err = run(capsys, "ddvv", *argv, "--no-timestamp")
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and flag in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_maximize_accepts_zero_iters(self, capsys):
+        code, out, _ = run(capsys, "ddvv", "--maximize", "2", "2", "2", "--iters", "0",
+                           "--no-timestamp")
+        assert code == 0 and json.loads(out)["iterations"] == 0
+
+    def test_check_rejects_negative_budget(self, capsys, tmp_path):
+        path = write_data(tmp_path / "v.json", veronese(1.0, 0.0))
+        code, out, err = run(capsys, "check", path, "--budget", "-3", "--no-timestamp")
+        assert code == 5 and out == ""
+        assert err == "error: --budget must be >= 0\n"
+
+    def test_n2_reports_ignore_budget_and_seed(self, capsys, tmp_path):
+        rng = np.random.default_rng(12)
+        batch = [data_to_dict(veronese(1.0, 0.0)), data_to_dict(veronese(1.0, 0.4))]
+        batch += [data_to_dict(FundamentalData(
+            n=2, p=p, c=1.0, forms=random_tuple(2, p, rng, scale=0.3, traceless=True)))
+            for p in (1, 2, 3)]
+        batch += [{"data": data_to_dict(s.data)} for s in sample_grid(builtin("clifford"), 2)]
+        path = tmp_path / "n2.json"
+        path.write_text(json.dumps(batch))
+        outs = set()
+        for extra in (["--budget", "0"], ["--budget", "64"], ["--seed", "1"], ["--seed", "9"]):
+            code, out, _ = run(capsys, "check", str(path), "--no-timestamp", *extra)
+            assert code in (0, 1, 2)
+            assert len(json.loads(out)["records"]) == len(batch)
+            outs.add(out)
+        assert len(outs) == 1

@@ -1,0 +1,89 @@
+"""The stacked ratio ascent against the serial per-start reference.
+
+`ddvv.maximize_ratio` ascends every start in one (S, m, n, n) stack;
+`maximize_reference` ascends them one at a time with the same starts and
+the same per-start rule.  The arithmetic of each start is unchanged, so the
+best tuple, its ratio and the start-major history must agree exactly,
+including when `iters` cuts the starts short and when a start stops at once.
+"""
+
+import numpy as np
+import pytest
+
+import maximize_reference as ref
+from rigidity import ddvv
+from rigidity.ddvv import energy_gradient, extremal_pair, maximize_ratio
+from rigidity.symmat import random_tuple, rotate_tuple
+
+
+def assert_same(got, want):
+    assert got.tuple.shape == want.tuple.shape
+    assert got.tuple.tobytes() == want.tuple.tobytes()
+    assert got.ratio == want.ratio
+    assert got.history == want.history
+
+
+@pytest.mark.parametrize("starts", [1, 3, 8])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 2), (2, 5)])
+def test_matches_reference(n, m, starts):
+    seed = 10 * n + m
+    assert_same(maximize_ratio(n, m, seed=seed, starts=starts, iters=2000),
+                ref.reference_maximize_ratio(n, m, seed=seed, starts=starts, iters=2000))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 2), (2, 5)])
+def test_iters_cut_short(n, m):
+    got = maximize_ratio(n, m, seed=2, starts=6, iters=3)
+    assert_same(got, ref.reference_maximize_ratio(n, m, seed=2, starts=6, iters=3))
+    assert len(got.history) == 6 * 3  # no start converges within three steps
+
+
+def _stuck_start(n, m):
+    """A unit tuple on the equality orbit, away from the canonical frame.
+
+    Its tangent gradient is round-off, above the 1e-16 floor, and no step
+    of the line search raises the ratio above its value of 1.
+    """
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    w, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    t = rotate_tuple(extremal_pair(n, m, 1.0, rotation=q), w)
+    return t / np.sqrt(np.sum(t * t))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 2), (2, 5)])
+def test_failed_line_search(monkeypatch, n, m):
+    stuck = _stuck_start(n, m)
+    grad = energy_gradient(stuck)
+    tang = grad - np.sum(grad * stuck) * stuck
+    assert np.sqrt(np.sum(tang * tang)) >= 1e-16
+    assert ref.ascend(stuck, 2000)[2] == []
+
+    def draws(real):
+        calls = []
+
+        def fake(dim, count, rng):
+            calls.append(rng)
+            return stuck.copy() if len(calls) == 2 else real(dim, count, rng)
+
+        return fake
+
+    monkeypatch.setattr(ddvv, "random_tuple", draws(random_tuple))
+    monkeypatch.setattr(ref, "random_tuple", draws(random_tuple))
+    got = maximize_ratio(n, m, seed=1, starts=4, iters=2000)
+    assert_same(got, ref.reference_maximize_ratio(n, m, seed=1, starts=4, iters=2000))
+    # the stuck start already holds the maximum ratio 1, so it is the best
+    assert got.tuple.tobytes() == stuck.tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (3, 1), (1, 1), (4, 0)])
+def test_degenerate_shapes_unchanged(n, m):
+    got = maximize_ratio(n, m, seed=0, starts=2)
+    assert_same(got, ref.reference_maximize_ratio(n, m, seed=0, starts=2))
+    assert got.tuple.shape == (m, n, n) and not got.tuple.any()
+
+
+@pytest.mark.parametrize("starts", [0, -1])
+def test_rejects_no_starts(starts):
+    with pytest.raises(ValueError, match="starts"):
+        maximize_ratio(3, 3, starts=starts)
