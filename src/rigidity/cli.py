@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="theorem(s) to verify (default: auto by frame)")
     chk.add_argument("--tol", type=float, default=1e-8)
     chk.add_argument("--budget", type=int, default=64,
-                     help="random multistarts for the K_min search")
+                     help="random multistarts of the K_min plane search "
+                          "(n >= 5; n <= 4 is closed form)")
     chk.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: $RIGIDITY_SEED or 0)")
     chk.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),

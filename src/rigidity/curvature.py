@@ -201,10 +201,6 @@ def invariants(data: FundamentalData) -> ScalarInvariants:
 
 # -- K_min bracketing ---------------------------------------------------------
 
-def _pair_basis(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def curvature_operator(tensor: CurvatureTensor) -> np.ndarray:
     """Matrix of the curvature operator on Lambda^2 in the basis e_i ^ e_j, i < j.
 
@@ -212,9 +208,8 @@ def curvature_operator(tensor: CurvatureTensor) -> np.ndarray:
     minimum, since K(u, v) is the operator's quadratic form at the unit
     decomposable 2-vector u ^ v.
     """
-    pairs = _pair_basis(tensor.n)
-    comp = tensor.components
-    mat = np.array([[comp[i, j, k, l] for (k, l) in pairs] for (i, j) in pairs])
+    i, j = np.triu_indices(tensor.n, 1)
+    mat = tensor.components[i[:, None], j[:, None], i, j]
     return (mat + mat.T) / 2.0
 
 
@@ -297,30 +292,86 @@ def _descend_frames(data: FundamentalData, x0: np.ndarray, iters: int) -> np.nda
     return f
 
 
+# Hodge star on Lambda^2 R^4 in the basis order e_i ^ e_j, i < j (12, 13, 14, 23, 24, 34):
+# 12 <-> 34 and 14 <-> 23 with +1, 13 <-> 24 with -1.  <w, *w> is twice the
+# Pluecker form w12 w34 - w13 w24 + w14 w23, which vanishes iff w = u ^ v.
+_HODGE4 = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
+
+
+def _nearest_plane(w: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal (n, 2) frame of the plane nearest the 2-vector w.
+
+    The top singular pair of w's skew matrix spans it; for a decomposable
+    w = u ^ v that plane is span(u, v) itself.
+    """
+    i, j = np.triu_indices(n, 1)
+    skew = np.zeros((n, n))
+    skew[i, j], skew[j, i] = w, -w
+    return np.linalg.svd(skew)[2][:2].T
+
+
+def _thorpe(op: np.ndarray, vals: np.ndarray) -> tuple[float, np.ndarray]:
+    """max_t lambda_min(op + t *) on Lambda^2 R^4 and a bottom eigenvector there.
+
+    Every decomposable unit w has <w, *w> = 0, so each f(t) = lambda_min(op + t *)
+    bounds K_min from below (Thorpe's trick).  f is concave and, since * has
+    eigenvalues +-1, f(t) < f(0) once |t| > lambda_max(op) - lambda_min(op).  A
+    unit bottom eigenvector w gives the supergradient <w, *w>, so bisection on
+    its sign closes on the maximizer; 53 halvings reach ulp(T).  Returns the
+    largest f seen (t = 0 included, as vals[0]) and the eigenvector there.
+    """
+    a = -float(vals[-1] - vals[0])
+    b, best, w = -a, -np.inf, None
+    for _ in range(53):
+        t = (a + b) / 2.0
+        lam, vec = np.linalg.eigh(op + t * _HODGE4)
+        if lam[0] > best:
+            best, w = lam[0], vec[:, 0]
+        slope = vec[:, 0] @ _HODGE4 @ vec[:, 0]
+        if slope == 0.0:
+            break
+        a, b = (t, b) if slope > 0.0 else (a, t)
+    return max(float(vals[0]), float(best)), w
+
+
 def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
                  iters: int = 200) -> Bracket:
     """Certified bracket lo <= K_min <= hi for the minimal sectional curvature.
 
-    lo is the smallest eigenvalue of the curvature operator on Lambda^2 (a
-    guaranteed lower bound); hi is the best sectional value found by one
-    batched projected gradient descent over every coordinate plane plus
-    `budget` random orthonormal 2-frames, evaluated straight from the forms,
-    so it is attained by an explicit plane.  At n = 2, Lambda^2 is
-    one-dimensional and lo is K of the only plane (e1, e2): the bracket is
-    exact, hi = lo, and no search runs.
+    lo starts as the smallest eigenvalue of the curvature operator on
+    Lambda^2 (K(u, v) is its quadratic form at the unit 2-vector u ^ v); hi is
+    K of an explicit plane, evaluated from the forms.  At n <= 4 both come in
+    closed form: at n = 2 lo is K of the only plane (e1, e2); at n = 3 the
+    bottom eigenvector is a plane; at n = 4 lo rises to Thorpe's bound (see
+    _thorpe) and hi is K of the plane nearest its bottom eigenvector.  At
+    n >= 5, and where a closed-form bracket is wider than 1e-12 max(1, |hi|)
+    (a multiple bottom eigenvalue), hi comes from one batched projected
+    gradient descent over every coordinate plane, `budget` random
+    orthonormal 2-frames and the closed-form plane, if any.
     """
     if data.n < 2:
         raise ValueError("sectional curvature needs n >= 2")
-    tensor = riemann(data)
-    lo = float(np.linalg.eigvalsh(curvature_operator(tensor))[0])
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
+    op = curvature_operator(riemann(data))
+    vals = np.linalg.eigvalsh(op)
+    lo = float(vals[0])
     if data.n == 2:
         return Bracket(lo=lo, hi=lo)
 
+    hi, closed = np.inf, []
+    if data.n <= 4:
+        lo, w = _thorpe(op, vals) if data.n == 4 else (lo, np.linalg.eigh(op)[1][:, 0])
+        closed = [_nearest_plane(w, data.n)]
+        hi = float(_frame_values(data, closed[0][None])[0])
+        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
+            return Bracket(lo=lo, hi=max(lo, hi))
+
     eye = np.eye(data.n)
-    starts = ([np.column_stack([eye[i], eye[j]]) for (i, j) in _pair_basis(data.n)]
+    starts = ([np.column_stack([eye[i], eye[j]]) for i, j in zip(*np.triu_indices(data.n, 1))]
               + [np.random.default_rng(child).normal(size=(data.n, 2))
-                 for child in seed_sequence(seed).spawn(max(0, budget))])
-    hi = float(np.min(_descend_frames(data, np.stack(starts), iters)))
+                 for child in seed_sequence(seed).spawn(budget)] + closed)
+    hi = min(hi, float(np.min(_descend_frames(data, np.stack(starts), iters))))
     # hi is a sectional value, so hi >= K_min >= lo up to evaluation round-off;
     # clamp the few-ulp drift so the bracket invariant holds exactly.
     return Bracket(lo=lo, hi=max(lo, hi))

@@ -226,6 +226,8 @@ def maximize_ratio(n: int, m: int, seed=0, starts: int = 32,
     """
     if starts < 1:
         raise ValueError(f"need starts >= 1, got {starts}")
+    if iters < 0:
+        raise ValueError(f"need iters >= 0, got {iters}")
     if m < 2 or n < 2:
         return MaximizeResult(tuple=np.zeros((max(m, 0), n, n)), ratio=0.0, history=[])
     def dot(a, b):  # per-tuple Frobenius products, (S, 1, 1, 1)

@@ -3,7 +3,7 @@
 Lambda^2 of a 2-dimensional tangent space is spanned by e1 ^ e2, so the
 curvature operator is the 1 x 1 matrix (R_1212) and its eigenvalue is K of
 the only plane.  kmin_bracket returns it as both ends and spawns no seeds
-and descends no frames; at n >= 3 the plane search still runs.
+and descends no frames; at n >= 5 the plane search still runs.
 """
 
 import numpy as np
@@ -69,7 +69,7 @@ def test_no_search_at_n2(monkeypatch):
         assert b.lo == b.hi == kmin_bracket(data, budget=0, seed=2).lo
 
 
-def test_search_still_runs_at_n3(monkeypatch):
+def test_search_still_runs_at_n5(monkeypatch):
     calls = []
     descend = curvature._descend_frames
 
@@ -78,7 +78,7 @@ def test_search_still_runs_at_n3(monkeypatch):
         return descend(data, x0, iters)
 
     monkeypatch.setattr(curvature, "_descend_frames", counted)
-    data = make_general(3, 2, 1.0, np.random.default_rng(7))
+    data = make_general(5, 2, 1.0, np.random.default_rng(7))
     b = kmin_bracket(data, budget=5, seed=0)
-    assert calls == [3 + 5]  # C(3, 2) coordinate planes plus the random starts
+    assert calls == [10 + 5]  # C(5, 2) coordinate planes plus the random starts
     assert b.lo <= b.hi

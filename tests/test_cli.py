@@ -42,8 +42,8 @@ def write_data(path, data):
 # frozen verdict fixtures (see the pinching tests for their derivation)
 FAILS_DATA = FundamentalData(n=2, p=2, c=1.0, forms=2.0 * veronese(1.0, 0.0).forms)
 INDET_DATA = FundamentalData(
-    n=4, p=3, c=1.0,
-    forms=0.290180 * random_tuple(4, 3, np.random.default_rng(0), traceless=True),
+    n=5, p=3, c=1.0,
+    forms=0.315848 * random_tuple(5, 3, np.random.default_rng(1), traceless=True),
 )
 
 

@@ -87,3 +87,9 @@ def test_degenerate_shapes_unchanged(n, m):
 def test_rejects_no_starts(starts):
     with pytest.raises(ValueError, match="starts"):
         maximize_ratio(3, 3, starts=starts)
+
+
+def test_rejects_negative_iters():
+    with pytest.raises(ValueError, match="iters"):
+        maximize_ratio(3, 3, iters=-1)
+    assert maximize_ratio(3, 3, starts=2, iters=0).history == []

@@ -10,7 +10,8 @@ Verdict fixtures:
     product(5,2)      boundary at 0 (codimension one), label ProductOfSpheres
     geodesic(3,2)     strict, label TotallyGeodesic
     2x veronese forms fails (K = -5/3 against 1/3)
-    scaled seed-0     indeterminate: bracket [0.3744, 0.3756] straddles 3/8
+    scaled seed-1     indeterminate at n = 5: bracket [0.3713, 0.3787] straddles 3/8
+    scaled seed-0     strict at n = 4: the closed-form bracket is exact, K_min 0.3756
 """
 
 from fractions import Fraction
@@ -40,9 +41,17 @@ from rigidity.pinching import (
 )
 from rigidity.symmat import random_tuple, rotate_tuple, sgn
 
-# the indeterminate fixture: a seed-0 traceless tuple scaled so the K_min
-# bracket straddles the p=3 threshold 3/8 (lo and hi differ by ~1.2e-3)
+# the indeterminate fixture: a seed-1 traceless n = 5 tuple scaled so the p=3
+# threshold 3/8 sits halfway between the curvature-operator bound lo = 0.3713
+# and K_min = 0.3787 (the searched hi, stable to 1e-14 at budget 256 and
+# 3000 steps), so the certified bracket straddles it
 INDET = FundamentalData(
+    n=5, p=3, c=1.0,
+    forms=0.315848 * random_tuple(5, 3, np.random.default_rng(1), traceless=True),
+)
+# the former n = 4 indeterminate fixture: its operator bound 0.3744 straddled
+# 3/8, and Thorpe's bound at n = 4 closes the bracket on K_min = 0.3756
+FORMER_INDET_N4 = FundamentalData(
     n=4, p=3, c=1.0,
     forms=0.290180 * random_tuple(4, 3, np.random.default_rng(0), traceless=True),
 )
@@ -141,6 +150,13 @@ class TestVerdictFixtures:
         assert v.status == "indeterminate"
         assert v.kmin_bracket.lo < v.threshold < v.kmin_bracket.hi
         assert v.threshold == 0.375
+
+    def test_former_n4_straddle_is_decided(self):
+        v = verdict(FORMER_INDET_N4, "thm1", budget=16, seed=0)
+        assert v.status == "strict"
+        b = v.kmin_bracket
+        assert v.threshold == 0.375 < b.lo <= b.hi
+        assert b.hi - b.lo <= 1e-12 * max(1.0, abs(b.hi))
 
     def test_umbilical_under_thm2(self):
         v = verdict(umbilical_sphere(3, 2, 1.0, 0.5), "thm2")

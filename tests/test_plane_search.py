@@ -4,7 +4,9 @@ kmin_bracket descends every start at once and evaluates K from the forms
 through the Gauss equation; plane_search_reference descends one start at a
 time from the full Riemann tensor with QR re-orthonormalization.  Same
 starts, same step rules: the upper ends must agree to round-off, and both
-ends must respect the sectional values of explicit planes.
+ends must respect the sectional values of explicit planes.  At n = 3 and
+n = 4 kmin_bracket is closed form instead, so there its bracket must sit
+inside the reference bracket and be exact to 1e-12.
 """
 
 import numpy as np
@@ -28,11 +30,16 @@ def test_batched_search_matches_reference(n, p, budget):
     data = case_data(n, p, budget)
     b = kmin_bracket(data, budget=budget, seed=budget)
     lo_ref, hi_ref = reference_kmin_bracket(data, budget=budget, seed=budget)
-    assert b.lo == lo_ref
-    assert abs(b.hi - hi_ref) <= 1e-12 * max(1.0, abs(hi_ref))
+    if n in (3, 4):
+        assert b.lo == lo_ref if n == 3 else b.lo >= lo_ref
+        assert b.hi <= hi_ref + 1e-12 * max(1.0, abs(hi_ref))
+        assert b.hi - b.lo <= 1e-12 * max(1.0, abs(b.hi))
+    else:
+        assert b.lo == lo_ref
+        assert abs(b.hi - hi_ref) <= 1e-12 * max(1.0, abs(hi_ref))
 
     # K(plane) is itself evaluated in floating point: where the bracket is
-    # exact (n = 2) it lands an ulp either side of lo, so allow its round-off.
+    # exact (n <= 4) it lands an ulp either side of lo, so allow its round-off.
     tensor = riemann(data)
     rng = np.random.default_rng([n, p, budget, 1])
     for _ in range(32):
