@@ -4,7 +4,9 @@ Subcommands exchange JSON on disk/stdout (FundamentalData payloads, check
 reports, point samples) and one CSV threshold table.  Exit codes: 0 every
 verdict strict or boundary, 1 some verdict fails, 2 some verdict
 indeterminate, 3 hypothesis/validation error, 4 parse error, 5 usage error;
-batches report the worst record.
+batches report the worst record.  A `check` record that raises a hypothesis or
+validation error is reported as {"input", "error"} and counts as 3; the other
+records of its batch are still checked.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -150,7 +151,18 @@ class ReportRecord:
     elapsed_s: float | None
 
 
-def record_to_dict(r: ReportRecord) -> dict:
+@dataclass(frozen=True)
+class ErrorRecord:
+    """A datum whose check raised a hypothesis or validation error."""
+
+    input: str
+    error: str
+    exit_hint: int = EXIT_HYPOTHESIS
+
+
+def record_to_dict(r: ReportRecord | ErrorRecord) -> dict:
+    if isinstance(r, ErrorRecord):
+        return {"input": r.input, "error": r.error}
     return {
         "input": r.input,
         "shape": r.shape,
@@ -272,17 +284,17 @@ def cmd_check(args) -> int:
         try:
             return _check_one(label, data, args, stamp)
         except ValueError as exc:  # HypothesisError included
-            raise ValueError(f"{label}: {exc}") from exc
+            return ErrorRecord(input=label, error=str(exc))
 
-    try:
-        if args.jobs > 1 and len(items) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(check, items))
-        else:
-            records = [check(item) for item in items]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    if args.jobs > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            records = list(pool.map(check, items))
+    else:
+        records = [check(item) for item in items]
+    for r in records:
+        if isinstance(r, ErrorRecord):
+            print(f"error: {r.input}: {r.error}", file=sys.stderr)
     _dump({"records": [record_to_dict(r) for r in records]}, args.out)
     return max((r.exit_hint for r in records), default=EXIT_OK)
 
@@ -354,6 +366,12 @@ def cmd_model(args) -> int:
 
 
 def cmd_immersion(args) -> int:
+    if args.grid < 1:
+        print("error: --grid must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.step is not None and not (np.isfinite(args.step) and args.step > 0):
+        print("error: --step must be a positive finite number", file=sys.stderr)
+        return EXIT_USAGE
     try:
         spec = builtin(args.builtin)
         samples = sample_grid(spec, args.grid, args.step)
@@ -422,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(n >= 5; n <= 4 is closed form)")
     chk.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: $RIGIDITY_SEED or 0)")
-    chk.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1),
-                     help="thread pool size for batch inputs")
+    chk.add_argument("--jobs", type=int, default=1,
+                     help="thread pool size for batch inputs (default: 1, serial)")
     chk.add_argument("--out", help="write the JSON report here instead of stdout")
     chk.add_argument("--no-timestamp", action="store_true",
                      help="omit timestamps/timing for byte-identical output")
@@ -456,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     imm = sub.add_parser("immersion", help="sample a builtin immersion on a grid")
     imm.add_argument("--builtin", required=True, choices=list(BUILTINS))
     imm.add_argument("--grid", type=int, default=4, help="grid cells per axis")
-    imm.add_argument("--step", type=float, default=1e-4,
-                     help="central-difference step")
+    imm.add_argument("--step", type=float, default=None,
+                     help="use central differences with this step "
+                          "(default: exact second jets by Taylor arithmetic)")
     imm.add_argument("--out")
     imm.set_defaults(func=cmd_immersion)
 

@@ -1,14 +1,22 @@
-"""Second fundamental forms of explicit immersions by central differences.
+"""Second fundamental forms of explicit immersions, from exact second jets.
 
 An ImmersionSpec wraps a parametric map R^n -> R^N (into Euclidean space or a
-round sphere).  At a parameter point we differentiate the map to second order
-with O(step^2) central differences, orthonormalize tangent and normal frames
-deterministically, and read off the (p, n, n) stack of form matrices — a
-FundamentalData instance that feeds every other module.
+round sphere).  A batch of parameter points goes through one kernel.  The map
+is called once for the whole batch, on degree-2 Taylor numbers along e_i and
+e_i + e_j, which gives F, the Jacobian and the Hessian at every point with no
+step-size error (Griewank, Utke and Walther, Math. Comp. 2000).  One stacked
+eigh whitens the metrics, a vectorized pivoted Gram-Schmidt builds tangent
+and normal frames deterministically, and each point yields its (p, n, n)
+stack of form matrices: a FundamentalData instance that feeds every other
+module.  Central differences run only where they are asked for, by an
+explicit step, and for maps that reject the Taylor numbers.
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +25,7 @@ import numpy as np
 from .curvature import FundamentalData
 from .symmat import signfix
 
-DEFAULT_STEP = 1e-4
+DEFAULT_STEP = 1e-4   # central-difference step for maps that reject Taylor numbers
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,87 @@ class PointSample:
                 and self.data == other.data)
 
 
+class _Jet:
+    """Degree-2 univariate Taylor numbers c0 + c1·t + c2·t², one per direction and point.
+
+    c0 has shape (P,) over the points; c1 and c2 have shape (D, P) over the
+    directions and points.  Parametric maps run on them unmodified as long as
+    they use + - ×, / by a real, and numpy's sin and cos.  Anything else,
+    including a branch on the value, raises TypeError, which tells the caller
+    to fall back to differences.
+    """
+
+    __slots__ = ("c0", "c1", "c2")
+
+    def __init__(self, c0, c1, c2):
+        self.c0, self.c1, self.c2 = c0, c1, c2
+
+    def _no_value(self, *_):
+        raise TypeError("a batch of Taylor numbers has no single truth value")
+
+    __bool__ = __eq__ = __ne__ = _no_value
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        if isinstance(other, numbers.Real):
+            return _Jet(self.c0 + other, self.c1, self.c2)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.c0, -self.c1, -self.c2)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.c0 * other.c0,
+                        self.c0 * other.c1 + self.c1 * other.c0,
+                        self.c0 * other.c2 + self.c1 * other.c1 + self.c2 * other.c0)
+        if isinstance(other, numbers.Real):
+            return _Jet(self.c0 * other, self.c1 * other, self.c2 * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return _Jet(self.c0 / other, self.c1 / other, self.c2 / other)
+        return NotImplemented
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc is np.sin or ufunc is np.cos:
+            s, c = np.sin(self.c0), np.cos(self.c0)
+            if ufunc is np.cos:   # cos' = -sin and cos'' = -cos
+                s, c = c, -s
+            return _Jet(s, c * self.c1, c * self.c2 - 0.5 * s * self.c1 * self.c1)
+        op = _BINARY.get(ufunc)
+        if op is None or not all(isinstance(x, (_Jet, numbers.Real)) for x in inputs):
+            return NotImplemented
+        # a numpy scalar operand would dispatch back here; a Python float does not
+        return op(*(x if isinstance(x, _Jet) else float(x) for x in inputs))
+
+
+_BINARY = {np.add: operator.add, np.subtract: operator.sub,
+           np.multiply: operator.mul, np.true_divide: operator.truediv}
+
+
+def _points(spec: ImmersionSpec, u) -> np.ndarray:
+    """One parameter point u as a batch of one, shape (1, n)."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (spec.n,):
+        raise ValueError(f"parameter point has shape {u.shape}, expected ({spec.n},)")
+    return u[None]
+
+
 def _eval(spec: ImmersionSpec, u: np.ndarray) -> np.ndarray:
     out = np.asarray(spec.map(np.asarray(u, dtype=float)), dtype=float)
     if out.shape != (spec.N,):
@@ -83,45 +172,92 @@ def _eval(spec: ImmersionSpec, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def differentiate(spec: ImmersionSpec, u, step: float = DEFAULT_STEP):
-    """Jacobian (N, n) and symmetric Hessian stack (N, n, n), O(step^2)."""
-    return _jets(spec, u, step)[1:]
+def _jets(spec: ImmersionSpec, points: np.ndarray, step):
+    """F (P, N), the Jacobians (P, N, n) and the Hessian stacks (P, N, n, n).
+
+    Exact Taylor jets when step is None and the map takes them; central
+    differences with `step` (DEFAULT_STEP for a map that rejects the jets).
+    """
+    if step is None:
+        exact = _taylor_jets(spec, points)
+        if exact is not None:
+            return exact
+        step = DEFAULT_STEP
+    elif not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step}")
+    return _difference_jets(spec, points, step)
 
 
-def _jets(spec: ImmersionSpec, u, step: float):
-    """F(u), the Jacobian and the Hessian stack from one central-difference stencil."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (spec.n,):
-        raise ValueError(f"parameter point has shape {u.shape}, expected ({spec.n},)")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+def _taylor_jets(spec: ImmersionSpec, points: np.ndarray):
+    """One map call on Taylor numbers along e_i and e_i + e_j; None if the map rejects them.
+
+    Along a direction d the jet's second coefficient is d·Hess·d / 2, so the
+    diagonal is 2·c2(e_i) and the mixed entry is c2(e_i+e_j) - c2(e_i) - c2(e_j).
+    """
+    P, n, N = len(points), spec.n, spec.N
+    eye = np.eye(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    dirs = np.array([*eye, *(eye[i] + eye[j] for i, j in pairs)])    # (D, n)
+    u = np.empty(n, dtype=object)
+    for k in range(n):
+        u[k] = _Jet(points[:, k], np.repeat(dirs[:, k:k + 1], P, axis=1),
+                    np.zeros((len(dirs), P)))
+    try:
+        out = spec.map(u)
+    except (TypeError, ValueError, AttributeError):
+        return None
+    if np.shape(out) != (N,):
+        return None
+    c0, c1, c2 = np.empty((N, P)), np.zeros((N, len(dirs), P)), np.zeros((N, len(dirs), P))
+    for a, comp in enumerate(out):
+        if isinstance(comp, _Jet):
+            c0[a], c1[a], c2[a] = comp.c0, comp.c1, comp.c2
+        elif isinstance(comp, numbers.Real):
+            c0[a] = comp
+        else:
+            return None
+    hess = np.empty((P, N, n, n))
+    for i in range(n):
+        hess[:, :, i, i] = 2.0 * c2[:, i].T
+    for d, (i, j) in enumerate(pairs, start=n):
+        hess[:, :, i, j] = hess[:, :, j, i] = (c2[:, d] - c2[:, i] - c2[:, j]).T
+    return (np.ascontiguousarray(c0.T),
+            np.ascontiguousarray(c1[:, :n].transpose(2, 0, 1)), hess)
+
+
+def _difference_jets(spec: ImmersionSpec, points: np.ndarray, step: float):
+    """Central differences of O(step²): 1 + 2n + 4·C(n, 2) map calls per point."""
     n = spec.n
-    f0 = _eval(spec, u)
-    plus = [_eval(spec, u + step * _unit(n, i)) for i in range(n)]
-    minus = [_eval(spec, u - step * _unit(n, i)) for i in range(n)]
-    jac = np.column_stack([(plus[i] - minus[i]) / (2 * step) for i in range(n)])
-    hess = np.zeros((spec.N, n, n))
+    eye = np.eye(n)
+
+    def f(us):
+        return np.stack([_eval(spec, u) for u in us])
+
+    f0 = f(points)
+    plus = [f(points + step * eye[i]) for i in range(n)]
+    minus = [f(points - step * eye[i]) for i in range(n)]
+    jac = np.stack([(plus[i] - minus[i]) / (2 * step) for i in range(n)], axis=-1)
+    hess = np.empty((len(points), spec.N, n, n))
     for i in range(n):
-        hess[:, i, i] = (plus[i] - 2 * f0 + minus[i]) / step**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            pp = _eval(spec, u + step * (_unit(n, i) + _unit(n, j)))
-            pm = _eval(spec, u + step * (_unit(n, i) - _unit(n, j)))
-            mp = _eval(spec, u - step * (_unit(n, i) - _unit(n, j)))
-            mm = _eval(spec, u - step * (_unit(n, i) + _unit(n, j)))
-            mixed = (pp - pm - mp + mm) / (4 * step**2)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
+        hess[:, :, i, i] = (plus[i] - 2 * f0 + minus[i]) / step**2
+    for i, j in itertools.combinations(range(n), 2):
+        both, skew = step * (eye[i] + eye[j]), step * (eye[i] - eye[j])
+        mixed = (f(points + both) - f(points + skew) - f(points - skew)
+                 + f(points - both)) / (4 * step**2)
+        hess[:, :, i, j] = hess[:, :, j, i] = mixed
     return f0, jac, hess
 
 
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
+def differentiate(spec: ImmersionSpec, u, step: float | None = None):
+    """Jacobian (N, n) and symmetric Hessian stack (N, n, n) at u.
+
+    Exact by default; with an explicit step, central differences of O(step²).
+    """
+    _, jac, hess = _jets(spec, _points(spec, u), step)
+    return jac[0], hess[0]
 
 
-def frames(spec: ImmersionSpec, u, step: float = DEFAULT_STEP, jac=None):
+def frames(spec: ImmersionSpec, u, step: float | None = None):
     """Orthonormal tangent rows (n, N) and normal rows (p, N) at u.
 
     Tangent: jacobian columns whitened by the inverse metric square root.
@@ -129,67 +265,79 @@ def frames(spec: ImmersionSpec, u, step: float = DEFAULT_STEP, jac=None):
     projecting out the tangent span (and the radial direction inside a
     sphere) — deterministic, largest residual first.
     """
-    u = np.asarray(u, dtype=float)
-    if jac is None:
-        jac, _ = differentiate(spec, u, step)
-    return _frames(spec, u, _eval(spec, u), jac, _whitening(jac, u))
+    points = _points(spec, u)
+    pos, jac, _ = _jets(spec, points, step)
+    _, tangent, normal = _frames(spec, points, pos, jac)
+    return tangent[0], normal[0]
 
 
-def _whitening(jac: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse square root of the metric jac^T jac; raises where it degenerates."""
-    vals, vecs = np.linalg.eigh(jac.T @ jac)
-    if vals[0] <= 1e-12 * max(1.0, vals[-1]):
-        raise ValueError(f"immersion is degenerate at u={u.tolist()}: "
-                         f"metric eigenvalues {vals.tolist()}")
-    return vecs @ np.diag(vals**-0.5) @ vecs.T
+def _frames(spec: ImmersionSpec, points, pos, jac):
+    """Whitening (P, n, n), tangent rows (P, n, N) and normal rows (P, p, N) of a batch.
 
-
-def _frames(spec: ImmersionSpec, u, pos, jac, white):
-    """frames() from the position F(u), the Jacobian and its whitening."""
-    tangent = (jac @ white).T
-    span = [tangent[i] for i in range(spec.n)]
+    Raises, naming the first offending point, where the metric degenerates,
+    F leaves the sphere, or the normal residuals collapse.
+    """
+    if spec.p < 1:
+        raise ValueError(f"spec has no normal directions (p = {spec.p})")
+    vals, vecs = np.linalg.eigh(np.swapaxes(jac, -1, -2) @ jac)
+    degenerate = vals[:, 0] <= 1e-12 * np.maximum(1.0, vals[:, -1])
+    r = np.sqrt((pos[:, None, :] @ pos[:, :, None])[:, 0, 0])   # a dot per point, as norm(F(u))
+    radius = spec.ambient.radius
+    off_sphere = (spec.ambient.kind == "sphere") & (np.abs(r - radius) > 1e-8 * radius)
+    k = int(np.argmax(degenerate | off_sphere))
+    if degenerate[k]:
+        raise ValueError(f"immersion is degenerate at u={points[k].tolist()}: "
+                         f"metric eigenvalues {vals[k].tolist()}")
+    if off_sphere[k]:
+        raise ValueError(f"map does not take values on the radius-{radius} sphere "
+                         f"(|F(u)| = {r[k]:.12g} at u={points[k].tolist()})")
+    white = (vecs * vals[:, None, :] ** -0.5) @ np.swapaxes(vecs, -1, -2)
+    tangent = np.swapaxes(jac @ white, -1, -2)
+    span = list(np.swapaxes(tangent, 0, 1))
     if spec.ambient.kind == "sphere":
-        r = np.linalg.norm(pos)
-        if abs(r - spec.ambient.radius) > 1e-8 * spec.ambient.radius:
-            raise ValueError(
-                f"map does not take values on the radius-{spec.ambient.radius} sphere "
-                f"(|F(u)| = {r:.12g} at u={u.tolist()})")
-        span.append(pos / r)
-    p = spec.p
-    if p < 1:
-        raise ValueError(f"spec has no normal directions (p = {p})")
+        span.append(pos / r[:, None])
 
-    residues = np.eye(spec.N)
+    rows = np.arange(len(points))
+    residues = np.tile(np.eye(spec.N), (len(points), 1, 1))
     for b in span:
-        residues -= np.outer(residues @ b, b)
-    normal = []
-    for _ in range(p):
-        norms = np.linalg.norm(residues, axis=1)
-        pick = int(np.argmax(norms))
-        if norms[pick] < 1e-8:
-            raise ValueError("could not complete the normal frame: residuals collapsed")
-        vec = signfix(residues[pick] / norms[pick])
-        normal.append(vec)
-        residues -= np.outer(residues @ vec, vec)
-    return tangent, np.stack(normal)
+        residues -= (residues @ b[:, :, None]) * b[:, None, :]
+    normal = np.empty((len(points), spec.p, spec.N))
+    for q in range(spec.p):
+        norms = np.linalg.norm(residues, axis=-1)
+        pick = np.argmax(norms, axis=-1)
+        best = norms[rows, pick]
+        k = int(np.argmax(best < 1e-8))
+        if best[k] < 1e-8:
+            raise ValueError("could not complete the normal frame: residuals collapsed "
+                             f"at u={points[k].tolist()}")
+        vec = signfix((residues[rows, pick] / best[:, None]).T).T
+        normal[:, q] = vec
+        residues -= (residues @ vec[:, :, None]) * vec[:, None, :]
+    return white, tangent, normal
 
 
-def second_fundamental_form(spec: ImmersionSpec, u, step: float = DEFAULT_STEP) -> PointSample:
-    """Evaluate one parameter point into a PointSample.
+def _sample(spec: ImmersionSpec, points: np.ndarray, step) -> list[PointSample]:
+    """The batched kernel: (P, n) parameter points to P PointSamples, in order."""
+    pos, jac, hess = _jets(spec, points, step)
+    white, tangent, normal = _frames(spec, points, pos, jac)
+    hess_frame = np.einsum("kamn,kmi,knj->kaij", hess, white, white)
+    forms = np.einsum("kpa,kaij->kpij", normal, hess_frame)  # FundamentalData symmetrizes
+    c = spec.ambient.curvature
+    return [PointSample(params=points[k], position=pos[k], tangent=tangent[k],
+                        normal=normal[k],
+                        data=FundamentalData(n=spec.n, p=spec.p, c=c, forms=forms[k]))
+            for k in range(len(points))]
+
+
+def second_fundamental_form(spec: ImmersionSpec, u, step: float | None = None) -> PointSample:
+    """Evaluate one parameter point into a PointSample (a batch of one).
 
     h^a_ij = < e_a, d^2F(E_i, E_j) > with E the whitened coordinate frame;
     inside a sphere the radial direction is excluded from the normal frame,
-    which is exactly the sphere-valued second fundamental form.
+    which is exactly the sphere-valued second fundamental form.  Exact second
+    jets by default; an explicit step selects central differences.
     """
-    u = np.asarray(u, dtype=float)
-    pos, jac, hess = _jets(spec, u, step)
-    white = _whitening(jac, u)
-    tangent, normal = _frames(spec, u, pos, jac, white)
-    hess_frame = np.einsum("amn,mi,nj->aij", hess, white, white)
-    forms = np.einsum("pa,aij->pij", normal, hess_frame)  # FundamentalData symmetrizes
-    data = FundamentalData(n=spec.n, p=spec.p, c=spec.ambient.curvature, forms=forms)
-    return PointSample(params=u, position=pos, tangent=tangent,
-                       normal=normal, data=data)
+    return _sample(spec, _points(spec, u), step)[0]
 
 
 def grid_points(spec: ImmersionSpec, grid: int) -> list[np.ndarray]:
@@ -203,9 +351,9 @@ def grid_points(spec: ImmersionSpec, grid: int) -> list[np.ndarray]:
     return [np.array(pt) for pt in zip(*(m.ravel() for m in mesh))]
 
 
-def sample_grid(spec: ImmersionSpec, grid: int, step: float = DEFAULT_STEP) -> list[PointSample]:
-    """Evaluate every grid midpoint, in deterministic row-major order."""
-    return [second_fundamental_form(spec, u, step) for u in grid_points(spec, grid)]
+def sample_grid(spec: ImmersionSpec, grid: int, step: float | None = None) -> list[PointSample]:
+    """Evaluate every grid midpoint as one batch, in deterministic row-major order."""
+    return _sample(spec, np.stack(grid_points(spec, grid)), step)
 
 
 # -- builtin immersions --------------------------------------------------------

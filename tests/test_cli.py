@@ -298,6 +298,40 @@ class TestImmersionCommand:
         code, _, _ = run(capsys, "immersion", "--builtin", "sphere")
         assert code == 5
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("--grid", "0"), "--grid"),
+        (("--grid", "-2"), "--grid"),
+        (("--step", "0"), "--step"),
+        (("--step=-1e-4",), "--step"),
+        (("--step", "nan"), "--step"),
+        (("--step", "inf"), "--step"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, capsys, argv, flag):
+        code, out, err = run(capsys, "immersion", "--builtin", "graph", *argv)
+        assert code == 5 and out == ""
+        assert err.startswith("error: ") and flag in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_step_selects_central_differences(self, capsys):
+        code, out, _ = run(capsys, "immersion", "--builtin", "veronese", "--grid", "2",
+                           "--step", "1e-3")
+        assert code == 0
+        expected = sample_grid(builtin("veronese"), 2, step=1e-3)
+        assert [sample_from_dict(obj) for obj in json.loads(out)] == expected
+
+    @pytest.mark.parametrize("name", ["clifford", "veronese"])
+    def test_readme_pipeline_at_default_tol(self, capsys, tmp_path, name):
+        # exact jets put the trace of these minimal maps far below the 1e-8 gate
+        out_file = tmp_path / "samples.json"
+        code, _, _ = run(capsys, "immersion", "--builtin", name, "--grid", "16",
+                         "--out", str(out_file))
+        assert code == 0
+        code, out, err = run(capsys, "check", str(out_file), "--no-timestamp")
+        assert code == 0 and err == ""
+        records = json.loads(out)["records"]
+        assert len(records) == 256
+        assert all("error" not in r for r in records)
+
     def test_check_consumes_immersion_output(self, capsys, tmp_path):
         out_file = tmp_path / "samples.json"
         code, _, _ = run(capsys, "immersion", "--builtin", "clifford",
@@ -359,14 +393,31 @@ class TestUsageErrors:
 
 class TestSharedKernelsInCli:
     def test_batch_hypothesis_error_names_the_record(self, capsys, tmp_path):
+        # the errored record becomes {"input", "error"}; its neighbours are still checked
         path = tmp_path / "batch.json"
         good = data_to_dict(veronese(1.0, 0.0))
         path.write_text(json.dumps([good, data_to_dict(veronese(1.0, 0.6)), good]))
-        code, out, err = run(capsys, "check", str(path), "--theorem", "thm1",
-                             "--no-timestamp", "--jobs", "1")
-        assert code == 3 and out == ""
-        assert f"error: {path}#1: thm1 requires minimal data" in err
-        assert "#0" not in err and "#2" not in err
+        for jobs in ("1", "3"):
+            code, out, err = run(capsys, "check", str(path), "--theorem", "thm1",
+                                 "--no-timestamp", "--jobs", jobs)
+            assert code == 3
+            records = json.loads(out)["records"]
+            assert [r["input"] for r in records] == [f"{path}#{i}" for i in range(3)]
+            assert set(records[1]) == {"input", "error"}
+            assert records[1]["error"].startswith("thm1 requires minimal data")
+            assert records[0]["status"] == records[2]["status"] == "boundary"
+            assert f"error: {path}#1: thm1 requires minimal data" in err
+            assert "#0" not in err and "#2" not in err
+
+    def test_errored_record_is_the_worst_of_its_batch(self, capsys, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([data_to_dict(FAILS_DATA),
+                                    data_to_dict(veronese(1.0, 0.6))]))
+        code, out, _ = run(capsys, "check", str(path), "--theorem", "thm1",
+                           "--no-timestamp")
+        assert code == 3
+        records = json.loads(out)["records"]
+        assert records[0]["status"] == "fails" and "error" in records[1]
 
     # On these seeds an einsum reduction of the energy differs from the shared
     # kernel's pairwise sum in the last bit, so a second copy in the CLI shows.

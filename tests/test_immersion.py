@@ -1,4 +1,4 @@
-"""Finite-difference extraction of fundamental data from explicit immersions.
+"""Extraction of fundamental data from explicit immersions.
 
 Known values used as oracles:
 
@@ -6,14 +6,20 @@ Known values used as oracles:
     flat torus in S^3:                      |form| = diag(1, -1) frame, K = 0, S = 2
     quadratic sphere embedding in S^4:      K = 1/3, S = 4/3 (constant)
 
-Differentiation is second order: halving the step must shrink the curvature
-error by almost exactly 4.
+By default the second jets are exact (Taylor arithmetic), so these hold to
+round-off.  An explicit step selects central differences, which are second
+order: halving the step must shrink the curvature error by almost exactly 4.
+The batched kernel must give every point the bits it gives that point alone,
+and with a step the bits of the per-point stencil in `immersion_reference`.
 """
+
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import immersion_reference as ref
 from rigidity.curvature import PlaneSpec, invariants, riemann, sectional
 from rigidity.immersion import (
     BUILTINS,
@@ -56,6 +62,12 @@ class TestDifferentiate:
             differentiate(SADDLE, np.array([0.0, 0.0]), step=0.0)
         with pytest.raises(ValueError, match="shape"):
             differentiate(SADDLE, np.array([0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("fn", [differentiate, second_fundamental_form])
+    def test_non_finite_step_rejected(self, fn, step):
+        with pytest.raises(ValueError, match="step must be a positive finite number"):
+            fn(SADDLE, np.array([0.1, 0.2]), step=step)
 
     def test_second_order_convergence(self):
         # Richardson: error(h) / error(h/2) ~ 4 for an O(h^2) scheme
@@ -184,3 +196,101 @@ class TestGridSampling:
             Ambient("hyperbolic")
         with pytest.raises(ValueError):
             Ambient("sphere", radius=0.0)
+
+
+def _math_clifford(u):
+    """The Clifford map through math.sin/math.cos, which reject Taylor numbers."""
+    th, ph = u
+    return np.array([math.cos(th), math.sin(th), math.cos(ph), math.sin(ph)]) / math.sqrt(2.0)
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("step", [None, 1e-4], ids=["exact", "step"])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_grid_sample_equals_its_point_alone(self, name, step):
+        spec = builtin(name)
+        samples = sample_grid(spec, 12, step=step)
+        points = grid_points(spec, 12)
+        assert len(samples) == len(points) == 144
+        for k, u in enumerate(points):
+            assert samples[k] == second_fundamental_form(spec, u, step=step), k
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-3])
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_explicit_step_matches_the_per_point_stencil(self, name, step):
+        spec = builtin(name)
+        assert sample_grid(spec, 12, step=step) == ref.sample_grid(spec, 12, step)
+
+    def test_exact_jets_match_closed_form_derivatives(self):
+        # the round S^2 in R^3: the Jacobian and every Hessian entry in closed form
+        spec = ImmersionSpec(
+            map=lambda u: np.array([np.sin(u[0]) * np.cos(u[1]),
+                                    np.sin(u[0]) * np.sin(u[1]), np.cos(u[0])]),
+            n=2, N=3, ambient=Ambient("euclidean"), bounds=((0.1, 3.0), (0.0, 6.0)))
+        a, b = 0.7, 2.3
+        jac, hess = differentiate(spec, np.array([a, b]))
+        sa, ca, sb, cb = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+        npt.assert_allclose(jac, [[ca * cb, -sa * sb], [ca * sb, sa * cb], [-sa, 0.0]],
+                            rtol=0, atol=1e-15)
+        npt.assert_allclose(hess[:, 0, 0], [-sa * cb, -sa * sb, -ca], rtol=0, atol=1e-15)
+        npt.assert_allclose(hess[:, 1, 1], [-sa * cb, -sa * sb, 0.0], rtol=0, atol=1e-15)
+        npt.assert_allclose(hess[:, 0, 1], [-ca * sb, ca * cb, 0.0], rtol=0, atol=1e-15)
+        assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0])
+
+    def test_one_map_call_per_grid(self):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return TORUS.map(u)
+
+        spec = ImmersionSpec(map=counted, n=2, N=4, ambient=TORUS.ambient,
+                             bounds=TORUS.bounds)
+        assert sample_grid(spec, 5) == sample_grid(TORUS, 5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("rejecting", [
+        _math_clifford,
+        lambda u: TORUS.map(u) if u[0] < 7.0 else None,
+        lambda u: TORUS.map(u) if u[0] != 7.0 else None,
+        lambda u: TORUS.map(u) if u[0] else None,
+    ], ids=["math.sin", "less-than", "not-equal", "truth-value"])
+    def test_map_rejecting_jets_falls_back_to_differences(self, rejecting):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return rejecting(u)
+
+        spec = ImmersionSpec(map=counted, n=2, N=4, ambient=TORUS.ambient,
+                             bounds=TORUS.bounds)
+        fallback = sample_grid(spec, 4)
+        assert len(calls) == 1 + 9 * 16   # the rejected jet call, then 9 per point
+        assert fallback == sample_grid(spec, 4, step=1e-4)
+
+    @pytest.mark.parametrize("spec,S,K", [(SPHERE_QUAD, 4.0 / 3.0, 1.0 / 3.0),
+                                          (TORUS, 2.0, 0.0)], ids=["veronese", "clifford"])
+    def test_exact_jets_reach_round_off(self, spec, S, K):
+        for sample in sample_grid(spec, 12):
+            assert np.max(np.abs(np.trace(sample.data.forms, axis1=1, axis2=2))) < 1e-14
+            assert abs(invariants(sample.data).S - S) < 1e-14
+            assert abs(curvature_at(sample) - K) < 1e-14
+
+    def test_constant_components_are_lifted(self):
+        # a plane in R^3 has one constant coordinate and no curvature
+        plane = ImmersionSpec(map=lambda u: np.array([u[0], 2.0 * u[1] - u[0], 1.5]),
+                              n=2, N=3, ambient=Ambient("euclidean"),
+                              bounds=((0.0, 1.0), (0.0, 1.0)))
+        for sample in sample_grid(plane, 3):
+            assert np.all(sample.data.forms == 0.0)
+            npt.assert_array_equal(sample.position[2], 1.5)
+
+    def test_errors_name_the_first_bad_point(self):
+        def dented(u):
+            scale = 1.0 if u[0] < 1.0 else 1.0 + 1e-6
+            return _math_clifford(u) * scale
+
+        spec = ImmersionSpec(map=dented, n=2, N=4, ambient=TORUS.ambient,
+                             bounds=((0.0, 2.0), (0.0, 2.0)))
+        with pytest.raises(ValueError, match=r"sphere .* at u=\[1\.5, 0\.5\]"):
+            sample_grid(spec, 2)
