@@ -13,7 +13,6 @@ K_min bracket derive from those.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,23 +247,49 @@ def _frame_values(data: FundamentalData, x: np.ndarray) -> np.ndarray:
     return np.sum(_det2(pair), axis=1) + data.c * _det2(gram)
 
 
-def _frame_grads(data: FundamentalData, x: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of R(u, v, u, v) in x, (S, n, 2).
+def _newton_terms(data: FundamentalData, x: np.ndarray):
+    """Riemannian gradient and Hessian of K on Gr(2, n) at orthonormal frames x.
 
-    d det(x^T H x) = 2 tr(adj(x^T H x) x^T H dx) for symmetric H, so the
-    gradient is 2 sum_a H_a x adj(P_a) + 2 c x adj(x^T x).
+    Tangent steps at x are Q B, with Q an orthonormal basis of x-perp and B an
+    (n-2, 2) matrix.  With P_a = x^T H_a x, b_a = Q^T H_a x, A_a = Q^T H_a Q
+    and K = sum_a det P_a + c, the geodesic x(t) = x + t Q B - t^2 x B^T B / 2
+    + O(t^3) gives, by det(X + Y) = det X + tr(adj(X) Y) + det Y,
+        gradient  g = 2 sum_a b_a adj(P_a),
+        Hessian   sum_a [2 tr(adj(P_a) B^T A_a B) + 2 det(B^T b_a + b_a^T B)]
+                  + 2 (c - K) tr(B^T B).
+    B is flattened row-major into m = 2(n-2) coordinates, where the first term
+    is the Kronecker form A_a (x) adj(P_a), 2 det(B^T b + b^T B) is the
+    rank-three form 2 (vv^T - ww^T - zz^T) with v = vec b, w = vec(b diag(1, -1))
+    and z = vec(b with its two columns swapped), and c - K = -sum_a det P_a.
+    Returns (Q, g, Hessian).
     """
-    hx, pair, gram = _frame_terms(data, x)
-    return 2.0 * (np.sum(hx @ _adj2(pair), axis=1) + data.c * (x @ _adj2(gram)))
+    s, m = len(x), 2 * (data.n - 2)
+    q = np.linalg.qr(x, mode="complete")[0][..., 2:]
+    qt = np.swapaxes(q, 1, 2)[:, None]
+    hx, pair, _ = _frame_terms(data, x)
+    adj = _adj2(pair)
+    b = qt @ hx
+    a = qt @ data.forms @ q[:, None]
+    vwz = np.stack([b, b * np.array([1.0, -1.0]), b[..., ::-1]]).reshape(3, s, -1, m)
+    hess = (np.einsum("sakl,saij->skilj", a, adj).reshape(s, m, m)
+            + np.einsum("r,rsai,rsaj->sij", np.array([1.0, -1.0, -1.0]), vwz, vwz)
+            - np.sum(_det2(pair), axis=1)[:, None, None] * np.eye(m))
+    return q, 2.0 * np.sum(b @ adj, axis=1), 2.0 * hess
 
 
 def _descend_frames(data: FundamentalData, x0: np.ndarray, iters: int) -> np.ndarray:
-    """Projected gradient descent of K over orthonormal 2-frames, all starts at once.
+    """Safeguarded Riemannian Newton descent of K on Gr(2, n), all starts at once.
 
-    Each start follows its own rule: step 0.1 halved down to 1e-17 until the
-    first improvement; it stops at ||tangent|| < 1e-14, at a gain below 1e-12,
-    or after `iters` steps, and then leaves the active set.  Returns the final
-    value of every start.
+    Each step solves the Newton system of _newton_terms in the eigenbasis of
+    one stacked eigh, with |lambda| floored at 1e-8 max|lambda|: along
+    positive curvature it is the Newton step, along negative curvature (a
+    saddle) it goes downhill at least unit length.  The step is capped at
+    length 1, retracted by Gram-Schmidt, and halved at most 10 times until K
+    decreases.  A start leaves the active set when the quadratic model
+    predicts a gain below 1e-15 max(1, |K|) (its gradient is at round-off for
+    the curvature's scale), when its line search fails, when its gain is
+    below that bound, or after `iters` steps.  Returns the final value of
+    every start.
     """
     x = _gram_schmidt(x0)
     f = _frame_values(data, x)
@@ -273,22 +298,30 @@ def _descend_frames(data: FundamentalData, x0: np.ndarray, iters: int) -> np.nda
         if not act.size:
             break
         xa, fa = x[act], f[act]
-        g = _frame_grads(data, xa)
-        sym = np.swapaxes(xa, 1, 2) @ g
-        tang = g - xa @ ((sym + np.swapaxes(sym, 1, 2)) / 2.0)
-        moving = np.linalg.norm(tang, axis=(1, 2)) >= 1e-14
+        q, g, hess = _newton_terms(data, xa)
+        lam, vec = np.linalg.eigh(hess)
+        floor = np.maximum(1e-8 * np.max(np.abs(lam), axis=1, keepdims=True), np.finfo(float).tiny)
+        coef = np.einsum("sji,sj->si", vec, g.reshape(len(xa), -1))
+        d = -coef / np.maximum(np.abs(lam), floor)
+        d = np.where(lam < -floor, np.copysign(np.maximum(np.abs(d), 1.0), d), d)
+        gain = -np.sum(d * (coef + 0.5 * lam * d), axis=1)
+        d /= np.maximum(1.0, np.linalg.norm(d, axis=1, keepdims=True))
+        step = q @ (vec @ d[..., None]).reshape(g.shape)
+        tol = 1e-15 * np.maximum(1.0, np.abs(fa))
+        moving = gain > tol
         xn, fn = xa.copy(), fa.copy()
-        search = np.flatnonzero(moving)
-        step = 0.1
-        while search.size and step > 1e-17:
-            cand = _gram_schmidt(xa[search] - step * tang[search])
+        search, t = np.flatnonzero(moving), 1.0
+        for _ in range(11):
+            if not search.size:
+                break
+            cand = _gram_schmidt(xa[search] + t * step[search])
             fc = _frame_values(data, cand)
             better = fc < fa[search]
             xn[search[better]], fn[search[better]] = cand[better], fc[better]
             search = search[~better]
-            step /= 2.0
+            t /= 2.0
         x[act], f[act] = xn, fn
-        act = act[moving & (fn < fa - 1e-12)]
+        act = act[moving & (fn < fa - tol)]
     return f
 
 
@@ -335,7 +368,7 @@ def _thorpe(op: np.ndarray, vals: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
-                 iters: int = 200) -> Bracket:
+                 iters: int = 30) -> Bracket:
     """Certified bracket lo <= K_min <= hi for the minimal sectional curvature.
 
     lo starts as the smallest eigenvalue of the curvature operator on
@@ -344,28 +377,30 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
     closed form: at n = 2 lo is K of the only plane (e1, e2); at n = 3 the
     bottom eigenvector is a plane; at n = 4 lo rises to Thorpe's bound (see
     _thorpe) and hi is K of the plane nearest its bottom eigenvector.  At
-    n >= 5, and where a closed-form bracket is wider than 1e-12 max(1, |hi|)
-    (a multiple bottom eigenvalue), hi comes from one batched projected
-    gradient descent over every coordinate plane, `budget` random
-    orthonormal 2-frames and the closed-form plane, if any.
+    n >= 5 lo stays the operator bound, and hi comes from one batched
+    Riemannian Newton search (_descend_frames, at most `iters` steps) over
+    every coordinate plane, `budget` random orthonormal 2-frames and the
+    plane nearest the bottom eigenvector (at n = 4, the one at Thorpe's
+    maximizer).  The same search closes a closed-form bracket wider than
+    1e-12 max(1, |hi|), which a multiple bottom eigenvalue leaves.
     """
     if data.n < 2:
         raise ValueError("sectional curvature needs n >= 2")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
+    if iters < 0:
+        raise ValueError(f"need iters >= 0, got {iters}")
     op = curvature_operator(riemann(data))
     vals = np.linalg.eigvalsh(op)
     lo = float(vals[0])
     if data.n == 2:
         return Bracket(lo=lo, hi=lo)
 
-    hi, closed = np.inf, []
-    if data.n <= 4:
-        lo, w = _thorpe(op, vals) if data.n == 4 else (lo, np.linalg.eigh(op)[1][:, 0])
-        closed = [_nearest_plane(w, data.n)]
-        hi = float(_frame_values(data, closed[0][None])[0])
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            return Bracket(lo=lo, hi=max(lo, hi))
+    lo, w = _thorpe(op, vals) if data.n == 4 else (lo, np.linalg.eigh(op)[1][:, 0])
+    closed = [_nearest_plane(w, data.n)]
+    hi = float(_frame_values(data, closed[0][None])[0])
+    if data.n <= 4 and hi - lo <= 1e-12 * max(1.0, abs(hi)):
+        return Bracket(lo=lo, hi=max(lo, hi))
 
     eye = np.eye(data.n)
     starts = ([np.column_stack([eye[i], eye[j]]) for i, j in zip(*np.triu_indices(data.n, 1))]
@@ -436,7 +471,3 @@ def gram_diagonalize(data: FundamentalData, restrict=None) -> FundamentalData:
     return FundamentalData(n=data.n, p=data.p, c=data.c, forms=forms,
                            mean_index=data.mean_index)
 
-
-def replace(data: FundamentalData, **kw) -> FundamentalData:
-    """dataclasses.replace that tolerates the frozen array field."""
-    return dataclasses.replace(data, **kw)

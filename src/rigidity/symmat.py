@@ -77,21 +77,6 @@ def frob_norm_sq(a: np.ndarray) -> float:
     return float(np.sum(a * a))
 
 
-def trace_product(mats) -> float:
-    """tr(M_1 M_2 ... M_k) for a nonempty list of equal-dimension matrices."""
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    if not mats:
-        raise ValueError("trace_product needs at least one matrix")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValueError("trace_product matrices must share one square dimension")
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = prod @ m
-    return float(np.trace(prod))
-
-
 def rotate_tuple(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Act on the stack index: B'_r = sum_s q_rs B_s for orthogonal q."""
     t = np.asarray(t, dtype=float)

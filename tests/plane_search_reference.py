@@ -1,10 +1,11 @@
 """Reference K_min plane search: one projected descent per start, from the tensor.
 
-This is the straightforward form of the search that `kmin_bracket` runs in a
-batch: every start is descended on its own, frames are re-orthonormalized by
-`np.linalg.qr`, and K(u, v) and its gradient are contracted from the full
-n^4 Riemann tensor.  It shares no search code with the package, so tests can
-hold the batched form-based search to it.
+This is the straightforward first-order form of the search that
+`kmin_bracket` runs as a batched Newton iteration at n >= 5: every start is
+descended on its own, frames are re-orthonormalized by `np.linalg.qr`, and
+K(u, v) and its gradient are contracted from the full n^4 Riemann tensor.  It
+shares no search code with the package, so tests can hold the batched
+form-based search to it.
 """
 
 import numpy as np
@@ -33,8 +34,12 @@ def _orthonormalize(x):
     return q
 
 
-def descend_plane(comp, x0, iters=200):
-    """Projected gradient descent of K over orthonormal 2-frames from one start."""
+def descend_plane(comp, x0, iters=200, tol=1e-12):
+    """Projected gradient descent of K over orthonormal 2-frames from one start.
+
+    It stops after `iters` steps, at a tangent norm below 1e-14, when no step
+    down to 1e-17 improves K, or at a gain of at most `tol`.
+    """
     x = _orthonormalize(x0)
     f = _value(comp, x)
     for _ in range(iters):
@@ -52,15 +57,15 @@ def descend_plane(comp, x0, iters=200):
                 xn, fn = cand, fc
                 break
             step /= 2.0
-        if fn >= f - 1e-12:
+        if fn >= f - tol:
             x, f = xn, min(f, fn)
             break
         x, f = xn, fn
     return f
 
 
-def reference_kmin_bracket(data, budget=64, seed=0, iters=200):
-    """(lo, hi) with the same starts as kmin_bracket, searched one start at a time."""
+def reference_kmin_bracket(data, budget=64, seed=0, iters=200, tol=1e-12):
+    """(lo, hi) from kmin_bracket's coordinate and random starts, one start at a time."""
     tensor = riemann(data)
     comp = tensor.components
     lo = float(np.linalg.eigvalsh(curvature_operator(tensor))[0])
@@ -69,8 +74,8 @@ def reference_kmin_bracket(data, budget=64, seed=0, iters=200):
         x0 = np.zeros((data.n, 2))
         x0[i, 0] = 1.0
         x0[j, 1] = 1.0
-        hi = min(hi, descend_plane(comp, x0, iters))
+        hi = min(hi, descend_plane(comp, x0, iters, tol))
     for child in np.random.SeedSequence(seed).spawn(max(0, budget)):
         x0 = np.random.default_rng(child).normal(size=(data.n, 2))
-        hi = min(hi, descend_plane(comp, x0, iters))
+        hi = min(hi, descend_plane(comp, x0, iters, tol))
     return lo, max(lo, float(hi))

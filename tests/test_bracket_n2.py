@@ -80,5 +80,6 @@ def test_search_still_runs_at_n5(monkeypatch):
     monkeypatch.setattr(curvature, "_descend_frames", counted)
     data = make_general(5, 2, 1.0, np.random.default_rng(7))
     b = kmin_bracket(data, budget=5, seed=0)
-    assert calls == [10 + 5]  # C(5, 2) coordinate planes plus the random starts
+    # C(5, 2) coordinate planes, the random starts and the operator's bottom plane
+    assert calls == [10 + 5 + 1]
     assert b.lo <= b.hi

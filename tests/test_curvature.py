@@ -10,6 +10,8 @@ Checked here, per random instance and per closed-form model:
     * mean-frame alignment and Gram diagonalization preserve every invariant
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,7 +26,6 @@ from rigidity.curvature import (
     invariants,
     kmin_bracket,
     normal_curvature,
-    replace,
     riemann,
     sectional,
 )

@@ -1,12 +1,14 @@
 """The batched K_min plane search against an independent per-start reference.
 
-kmin_bracket descends every start at once and evaluates K from the forms
-through the Gauss equation; plane_search_reference descends one start at a
-time from the full Riemann tensor with QR re-orthonormalization.  Same
-starts, same step rules: the upper ends must agree to round-off, and both
-ends must respect the sectional values of explicit planes.  At n = 3 and
-n = 4 kmin_bracket is closed form instead, so there its bracket must sit
-inside the reference bracket and be exact to 1e-12.
+kmin_bracket evaluates K from the forms through the Gauss equation;
+plane_search_reference descends one start at a time from the full Riemann
+tensor with QR re-orthonormalization, by first-order steps capped at 200.
+Both ends must respect the sectional values of explicit planes.  At n = 2
+there is one plane, so the ends agree to round-off.  At n >= 3 the upper end
+must not lie above the reference's: at n = 3 and n = 4 kmin_bracket is
+closed form and exact to 1e-12, and at n >= 5 a Newton search from the same
+starts (plus the operator's bottom plane) converges past the reference's
+step cap.
 """
 
 import numpy as np
@@ -30,13 +32,14 @@ def test_batched_search_matches_reference(n, p, budget):
     data = case_data(n, p, budget)
     b = kmin_bracket(data, budget=budget, seed=budget)
     lo_ref, hi_ref = reference_kmin_bracket(data, budget=budget, seed=budget)
-    if n in (3, 4):
-        assert b.lo == lo_ref if n == 3 else b.lo >= lo_ref
-        assert b.hi <= hi_ref + 1e-12 * max(1.0, abs(hi_ref))
-        assert b.hi - b.lo <= 1e-12 * max(1.0, abs(b.hi))
-    else:
+    if n == 2:
         assert b.lo == lo_ref
         assert abs(b.hi - hi_ref) <= 1e-12 * max(1.0, abs(hi_ref))
+    else:
+        assert b.lo >= lo_ref if n == 4 else b.lo == lo_ref
+        assert b.hi <= hi_ref + 1e-12 * max(1.0, abs(hi_ref))
+    if n in (3, 4):
+        assert b.hi - b.lo <= 1e-12 * max(1.0, abs(b.hi))
 
     # K(plane) is itself evaluated in floating point: where the bracket is
     # exact (n <= 4) it lands an ulp either side of lo, so allow its round-off.

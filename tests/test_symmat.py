@@ -20,8 +20,23 @@ from rigidity.symmat import (
     rotate_tuple,
     sgn,
     symmetrize,
-    trace_product,
 )
+
+
+def trace_product(mats) -> float:
+    """tr(M_1 M_2 ... M_k) for a nonempty list of equal-dimension matrices."""
+    mats = [np.asarray(m, dtype=float) for m in mats]
+    if not mats:
+        raise ValueError("trace_product needs at least one matrix")
+    dim = mats[0].shape[0]
+    for m in mats:
+        if m.shape != (dim, dim):
+            raise ValueError("trace_product matrices must share one square dimension")
+    prod = mats[0]
+    for m in mats[1:]:
+        prod = prod @ m
+    return float(np.trace(prod))
+
 
 A_CANON = np.array([[0.0, 1.0], [1.0, 0.0]])
 B_CANON = np.array([[1.0, 0.0], [0.0, -1.0]])
