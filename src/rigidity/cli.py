@@ -122,19 +122,6 @@ def sample_to_dict(s: PointSample) -> dict:
     }
 
 
-def sample_from_dict(obj) -> PointSample:
-    for key in ("params", "position", "tangent", "normal", "data"):
-        if key not in obj:
-            raise ValueError(f"missing required field {key!r} in point sample")
-    return PointSample(
-        params=np.asarray(obj["params"], dtype=float),
-        position=np.asarray(obj["position"], dtype=float),
-        tangent=np.asarray(obj["tangent"], dtype=float),
-        normal=np.asarray(obj["normal"], dtype=float),
-        data=data_from_dict(obj["data"]),
-    )
-
-
 @dataclass(frozen=True)
 class ReportRecord:
     """One checked datum: invariants, bracket, inequality summary, verdicts."""
@@ -269,6 +256,9 @@ def cmd_check(args) -> int:
     if args.budget < 0:
         print("error: --budget must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        print("error: --tol must be a finite number >= 0", file=sys.stderr)
+        return EXIT_USAGE
     args.seed = _resolve_seed(args.seed)
     try:
         items: list[tuple[str, FundamentalData]] = []
@@ -312,10 +302,7 @@ def cmd_ddvv(args) -> int:
         for done in range(0, trials, 4096):
             batch = min(4096, trials - done)
             t = random_tuple(n, batch * m, rng).reshape(batch, m, n, n)
-            lhs = ddvv_mod.commutator_energy(t)
-            total = np.einsum("trij,trij->t", t, t)
-            rhs = total * total
-            ratio = np.where(rhs > 0, lhs / np.where(rhs > 0, rhs, 1.0), 0.0)
+            ratio = ddvv_mod.ratio_terms(t)[2]
             best = max(best, float(np.max(ratio)))
             violations += int(np.sum(ratio > 1.0 + 1e-12))
         _dump({"mode": "random", "n": n, "m": m, "trials": trials,

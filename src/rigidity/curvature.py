@@ -198,6 +198,15 @@ def invariants(data: FundamentalData) -> ScalarInvariants:
     return ScalarInvariants(S=s_total, H=mean, S_H=s_h, S_I=s_i, R_scal=r_scal)
 
 
+def case_terms(data: FundamentalData, inv: ScalarInvariants,
+               mean: bool) -> tuple[tuple[int, ...], float, float]:
+    """(restriction, S~, ambient) of a pinching case, from the invariants of `data`: all
+    normal directions, S and c (minimal), or the non-mean ones, S_I and c + H^2 (mean)."""
+    if mean:
+        return data.non_mean_indices(), inv.S_I, data.c + inv.H**2
+    return tuple(range(data.p)), inv.S, data.c
+
+
 # -- K_min bracketing ---------------------------------------------------------
 
 def curvature_operator(tensor: CurvatureTensor) -> np.ndarray:

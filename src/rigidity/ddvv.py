@@ -93,13 +93,22 @@ def energy_gradient(t: np.ndarray) -> np.ndarray:
     return 4.0 * grad
 
 
+def ratio_terms(t: np.ndarray):
+    """lhs, rhs = (sum_r ||B_r||^2)^2 and lhs / rhs (0 where rhs = 0), as floats for one
+    (m, n, n) tuple or arrays for a (..., m, n, n) stack, bit-equal tuple by tuple."""
+    lhs = commutator_energy(t)
+    total = np.einsum("...rij,...rij->...", t, t)
+    rhs = total * total
+    if np.ndim(rhs) == 0:  # plain floats: a ufunc call costs more than the division
+        rhs = float(rhs)
+        return lhs, rhs, lhs / rhs if rhs > 0 else 0.0
+    return lhs, rhs, np.divide(lhs, rhs, out=np.zeros_like(rhs), where=rhs > 0)
+
+
 def evaluate(t) -> DdvvReport:
     """Evaluate lhs, rhs and their ratio; detect the equality configuration."""
     t = as_tuple(t)
-    lhs = commutator_energy(t)
-    total = float(np.einsum("rij,rij->", t, t))
-    rhs = total * total
-    ratio = lhs / rhs if rhs > 0 else 0.0
+    lhs, rhs, ratio = ratio_terms(t)
     equality = rhs > 0 and ratio >= 1.0 - EQUALITY_RTOL
     structure = detect_equality(t, EQUALITY_RTOL) if equality else None
     return DdvvReport(lhs=lhs, rhs=rhs, ratio=ratio, equality=equality,

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ddvv
-from .curvature import Bracket, FundamentalData, invariants, kmin_bracket, negligible_trace
+from .curvature import (Bracket, FundamentalData, case_terms, invariants, kmin_bracket,
+                        negligible_trace)
 from .symmat import commutes, sgn
 
-THEOREMS = ("yau", "itoh", "thm1", "thm2", "generalized")
 LABELS = ("TotallyGeodesic", "ProductOfSpheres", "Veronese", "UmbilicalSphere",
           "Undetermined")
 
@@ -94,16 +94,12 @@ def threshold_generalized(p: int, n: int, c: float, H: float) -> float:
 # -- structural predicates ----------------------------------------------------
 
 def _is_pseudo_umbilical(data: FundamentalData, tol: float) -> bool:
-    if data.mean_index is None:
-        return False
     hm = data.forms[data.mean_index]
     scalar = (np.trace(hm) / data.n) * np.eye(data.n)
     return bool(np.max(np.abs(hm - scalar)) <= tol * max(1.0, float(np.max(np.abs(hm)))))
 
 
 def _mean_commutes(data: FundamentalData, tol: float) -> bool:
-    if data.mean_index is None:
-        return False
     hm = data.forms[data.mean_index]
     return all(commutes(hm, data.forms[i], tol) for i in data.non_mean_indices())
 
@@ -137,6 +133,25 @@ def _classify(bracket: Bracket, threshold: float, tol: float) -> str:
     return "indeterminate"
 
 
+# verdict()'s theorem table.  A row holds threshold(data, H), with H = 0 on the
+# minimal branch; the HypothesisError messages for non-traceless data on the
+# minimal branch and for H ~ 0 on the mean branch, None where the theorem has
+# no such branch; and whether the theorem is stated in the unit sphere.
+_NOT_MINIMAL = "{} requires minimal data: some tr(H_a) is nonzero beyond tolerance"
+_TABLE = {
+    "yau": (lambda d, H: threshold_yau(d.p), _NOT_MINIMAL.format("yau"), None, True),
+    "itoh": (lambda d, H: threshold_itoh(d.n), _NOT_MINIMAL.format("itoh"), None, True),
+    "thm1": (lambda d, H: threshold_thm1(d.p), _NOT_MINIMAL.format("thm1"), None, True),
+    "thm2": (lambda d, H: threshold_thm2(d.p, d.c, H), None,
+             "thm2 requires nonzero parallel mean curvature, got H ~ 0", False),
+    "generalized": (lambda d, H: threshold_generalized(d.p, d.n, d.c, H),
+                    "generalized (minimal branch) requires traceless data or a "
+                    "mean-aligned frame",
+                    "generalized (mean branch) requires nonzero mean curvature", False),
+}
+THEOREMS = tuple(_TABLE)
+
+
 def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
             budget: int = 64, seed=0, bracket: Bracket | None = None) -> PinchVerdict:
     """Compare the certified K_min bracket of `data` against one theorem.
@@ -145,70 +160,40 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     is; otherwise one is searched with `budget` and `seed`.
 
     Raises HypothesisError when the data violates the theorem's structural
-    hypotheses (minimality, unit ambient curvature, nonzero parallel mean).
-    Verdicts are deterministic per seed and invariant under admissible frame
-    changes of the data.
+    hypotheses (minimality, unit ambient curvature, nonzero parallel mean),
+    and ValueError for an unknown theorem or a `tol` that is not a finite
+    number >= 0.  Verdicts are deterministic per seed and invariant under
+    admissible frame changes of the data.
     """
     if which not in THEOREMS:
         raise ValueError(f"unknown theorem {which!r}, expected one of {THEOREMS}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    threshold_of, not_minimal, zero_mean, unit_sphere = _TABLE[which]
     inv = invariants(data)
     minimal = negligible_trace(np.max(np.abs(data.traces)), data.forms, tol)
     soft = 1e-6  # structural predicate tolerance, looser than the verdict gate
 
-    if which in ("yau", "itoh", "thm1"):
-        if not minimal:
-            raise HypothesisError(
-                f"{which} requires minimal data: some tr(H_a) is nonzero beyond tolerance")
-        if abs(data.c - 1.0) > 1e-9:
-            raise HypothesisError(f"{which} is stated in a unit sphere, got c = {data.c}")
-        restriction = tuple(range(data.p))
-        s_ref = inv.S
-        ambient = data.c
-        threshold = {"yau": lambda: threshold_yau(data.p),
-                     "itoh": lambda: threshold_itoh(data.n),
-                     "thm1": lambda: threshold_thm1(data.p)}[which]()
-        mean_case = False
-    elif which == "thm2":
+    # a theorem with both branches takes the mean one in a mean-aligned frame
+    mean_case = zero_mean is not None and (not_minimal is None or data.mean_index is not None)
+    if mean_case:
         if data.mean_index is None:
-            raise HypothesisError("thm2 requires a mean-aligned frame (mean_index set)")
+            raise HypothesisError(f"{which} requires a mean-aligned frame (mean_index set)")
         if inv.H <= 1e-12 * max(1.0, float(np.max(np.abs(data.forms)))):
-            raise HypothesisError("thm2 requires nonzero parallel mean curvature, got H ~ 0")
-        threshold = threshold_thm2(data.p, data.c, inv.H)  # validates c + H^2 > 0
-        restriction = data.non_mean_indices()
-        s_ref = inv.S_I
-        ambient = data.c + inv.H**2
-        mean_case = True
-    else:  # generalized
-        if data.mean_index is None:
-            if not minimal:
-                raise HypothesisError(
-                    "generalized (minimal branch) requires traceless data or a "
-                    "mean-aligned frame")
-            threshold = threshold_generalized(data.p, data.n, data.c, 0.0)
-            restriction = tuple(range(data.p))
-            s_ref = inv.S
-            ambient = data.c
-            mean_case = False
-        else:
-            if inv.H <= 1e-12 * max(1.0, float(np.max(np.abs(data.forms)))):
-                raise HypothesisError(
-                    "generalized (mean branch) requires nonzero mean curvature")
-            threshold = threshold_generalized(data.p, data.n, data.c, inv.H)
-            restriction = data.non_mean_indices()
-            s_ref = inv.S_I
-            ambient = data.c + inv.H**2
-            mean_case = True
+            raise HypothesisError(zero_mean)
+    elif not minimal:
+        raise HypothesisError(not_minimal)
+    if unit_sphere and abs(data.c - 1.0) > 1e-9:
+        raise HypothesisError(f"{which} is stated in a unit sphere, got c = {data.c}")
+    threshold = threshold_of(data, inv.H if mean_case else 0.0)  # may reject c + H^2 <= 0
+    restriction, s_ref, ambient = case_terms(data, inv, mean_case)
 
     if bracket is None:
         bracket = kmin_bracket(data, budget=budget, seed=seed)
     status = _classify(bracket, threshold, tol)
 
-    # ddvv.evaluate's ratio and guard, without re-validating the forms
     sub = data.forms[list(restriction)]
-    total = float(np.einsum("rij,rij->", sub, sub))
-    rhs = total * total
-    ratio = ddvv.commutator_energy(sub) / rhs if rhs > 0 else 0.0
-    ddvv_equality = ratio >= 1.0 - 1e-6
+    ddvv_equality = ddvv.ratio_terms(sub)[2] >= 1.0 - 1e-6
     collapsed = bracket.hi - bracket.lo <= soft * max(1.0, abs(bracket.hi))
 
     notes = []
@@ -222,8 +207,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
             notes.append("mean-commuting")
     if ddvv_equality:
         notes.append("ddvv-equality")
-    fingerprint = (mean_case and s_ref is not None
-                   and abs(s_ref - (2 * data.n / 3) * ambient) <= soft * max(1.0, ambient))
+    fingerprint = mean_case and abs(s_ref - (2 * data.n / 3) * ambient) <= soft * max(1.0, ambient)
     if fingerprint and ddvv_equality:
         notes.append("S_I matches the Veronese value (2n/3)(c + H^2)")
     if which == "thm2" and data.p <= 2:
@@ -232,7 +216,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
 
     label = "Undetermined"
     s_scale = max(1.0, float(np.sum(data.forms**2)))
-    if s_ref is not None and s_ref <= tol * s_scale:
+    if s_ref <= tol * s_scale:
         label = "UmbilicalSphere" if mean_case else "TotallyGeodesic"
     elif status == "boundary":
         if (data.n == 2 and len(restriction) == 2 and ddvv_equality and collapsed):

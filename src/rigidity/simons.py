@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import FundamentalData, invariants, riemann
+from .curvature import FundamentalData, case_terms, invariants, riemann
 from .ddvv import commutator_energy
 from .symmat import sgn
 
@@ -145,31 +145,29 @@ def contraction_report(data: FundamentalData, tensor=None, restrict=None) -> Con
 # -- parametric lower bound ---------------------------------------------------
 
 def _case_frame(data: FundamentalData, case: str):
-    if case == MINIMAL:
-        idx = tuple(range(data.p))
-        p_eff = data.p
-        inv = invariants(data)
-        return idx, p_eff, inv.S, data.c
-    if case == PARALLEL_MEAN:
-        if data.mean_index is None:
-            raise ValueError("parallel-mean case needs data with mean_index set")
-        idx = data.non_mean_indices()
-        p_eff = data.p - 1
-        if p_eff < 1:
-            raise ValueError("parallel-mean case needs at least one non-mean direction")
-        inv = invariants(data)
-        return idx, p_eff, inv.S_I, data.c + inv.H**2
-    raise ValueError(f"unknown case {case!r}, expected one of {CASES}")
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}, expected one of {CASES}")
+    mean = case == PARALLEL_MEAN
+    if mean and data.mean_index is None:
+        raise ValueError("parallel-mean case needs data with mean_index set")
+    p_eff = data.p - 1 if mean else data.p
+    if p_eff < 1:
+        raise ValueError("parallel-mean case needs at least one non-mean direction")
+    idx, s_tilde, ambient = case_terms(data, invariants(data), mean)
+    return idx, p_eff, s_tilde, ambient
+
+
+def _case_sign(p_eff: int, case: str) -> int:
+    """sgn(p_eff - 1) in the minimal case, 1 in the parallel-mean case."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}, expected one of {CASES}")
+    return sgn(p_eff - 1) if case == MINIMAL else 1
 
 
 def s2_coefficient(a: float, p_eff: int, case: str) -> float:
     """Coefficient of S~^2 in Phi: a/p_eff + sgn(p_eff - 1)(a-1)/2 (minimal)
     or a/p_eff + (a-1)/2 (parallel-mean)."""
-    if case == MINIMAL:
-        return a / p_eff + sgn(p_eff - 1) * (a - 1.0) / 2.0
-    if case == PARALLEL_MEAN:
-        return a / p_eff + (a - 1.0) / 2.0
-    raise ValueError(f"unknown case {case!r}, expected one of {CASES}")
+    return a / p_eff + _case_sign(p_eff, case) * (a - 1.0) / 2.0
 
 
 def laplacian_bound(data: FundamentalData, a: float, kmin: float, case: str) -> float:
@@ -217,12 +215,5 @@ def optimal_parameter(p_eff: int, case: str) -> tuple[float, float]:
     """
     if p_eff < 1:
         raise ValueError(f"need p_eff >= 1, got {p_eff}")
-    if case == MINIMAL:
-        a_star = sgn(p_eff - 1) * p_eff / (p_eff + 2)
-        threshold = sgn(p_eff - 1) * p_eff / (2 * (p_eff + 1))
-    elif case == PARALLEL_MEAN:
-        a_star = p_eff / (p_eff + 2)
-        threshold = p_eff / (2 * (p_eff + 1))
-    else:
-        raise ValueError(f"unknown case {case!r}, expected one of {CASES}")
-    return a_star, threshold
+    sign = _case_sign(p_eff, case)
+    return sign * p_eff / (p_eff + 2), sign * p_eff / (2 * (p_eff + 1))

@@ -13,10 +13,10 @@ import numpy.testing as npt
 import pytest
 
 from rigidity import cli, curvature, pinching
-from rigidity.cli import _dump, data_from_dict, data_to_dict, main, sample_from_dict
+from rigidity.cli import _dump, data_from_dict, data_to_dict, main
 from rigidity.curvature import FundamentalData
 from rigidity.ddvv import evaluate as ddvv_evaluate
-from rigidity.immersion import builtin, sample_grid
+from rigidity.immersion import PointSample, builtin, sample_grid
 from rigidity.models import totally_geodesic, veronese
 from rigidity.pinching import (
     threshold_generalized,
@@ -32,6 +32,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sample_from_dict(obj) -> PointSample:
+    """Inverse of cli.sample_to_dict, for the round-trip tests."""
+    for key in ("params", "position", "tangent", "normal", "data"):
+        if key not in obj:
+            raise ValueError(f"missing required field {key!r} in point sample")
+    return PointSample(
+        params=np.asarray(obj["params"], dtype=float),
+        position=np.asarray(obj["position"], dtype=float),
+        tangent=np.asarray(obj["tangent"], dtype=float),
+        normal=np.asarray(obj["normal"], dtype=float),
+        data=data_from_dict(obj["data"]),
+    )
 
 
 def write_data(path, data):
@@ -409,6 +423,15 @@ class TestSharedKernelsInCli:
             assert f"error: {path}#1: thm1 requires minimal data" in err
             assert "#0" not in err and "#2" not in err
 
+    def test_error_record_bytes(self, capsys, tmp_path):
+        path = write_data(tmp_path / "mean.json", veronese(1.0, 0.6))
+        code, out, err = run(capsys, "check", path, "--theorem", "thm1", "--no-timestamp")
+        message = "thm1 requires minimal data: some tr(H_a) is nonzero beyond tolerance"
+        assert code == 3
+        assert out == ('{\n  "records": [\n    {\n      "input": ' + json.dumps(path)
+                       + ',\n      "error": "' + message + '"\n    }\n  ]\n}\n')
+        assert err == f"error: {path}: {message}\n"
+
     def test_errored_record_is_the_worst_of_its_batch(self, capsys, tmp_path):
         path = tmp_path / "batch.json"
         path.write_text(json.dumps([data_to_dict(FAILS_DATA),
@@ -457,6 +480,17 @@ class TestSearchArguments:
         code, out, err = run(capsys, "check", path, "--budget", "-3", "--no-timestamp")
         assert code == 5 and out == ""
         assert err == "error: --budget must be >= 0\n"
+
+    # the doubled Veronese forms fail thm1 (K = -5/3 against 1/3); an infinite
+    # --tol would certify them as boundary
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf"])
+    def test_check_rejects_bad_tol(self, capsys, tmp_path, tol):
+        path = write_data(tmp_path / "fails.json", FAILS_DATA)
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "check", path, f"--tol={tol}", "--out", str(report),
+                             "--no-timestamp")
+        assert code == 5 and out == "" and not report.exists()
+        assert err == "error: --tol must be a finite number >= 0\n"
 
     def test_n2_reports_ignore_budget_and_seed(self, capsys, tmp_path):
         rng = np.random.default_rng(12)

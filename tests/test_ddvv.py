@@ -6,6 +6,8 @@ B = diag(mu, -mu)): over ordered pairs lhs = 2 ||[A, B]||^2 = 16 mu^4, while
 exactly 1 for every mu > 0.
 """
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +20,9 @@ from rigidity.ddvv import (
     evaluate,
     extremal_pair,
     maximize_ratio,
+    ratio_terms,
 )
+from rigidity.cli import main
 from rigidity.models import veronese
 from rigidity.symmat import commutator, frob_norm_sq, random_tuple, rotate_tuple
 
@@ -54,6 +58,36 @@ class TestCommutatorEnergy:
         npt.assert_allclose(commutator_energy(3.0 * t), 81.0 * commutator_energy(t),
                             rtol=1e-12)
 
+
+class TestRatioTerms:
+    """The one lhs / rhs / ratio kernel behind evaluate, verdict and `ddvv --random`."""
+
+    @pytest.mark.parametrize("t,m,n", [(7, 3, 4), (5, 1, 3), (6, 4, 2)])
+    def test_stack_matches_evaluate_bit_for_bit(self, t, m, n):
+        rng = np.random.default_rng(t + m + n)
+        stack = np.stack([random_tuple(n, m, rng) for _ in range(t)])
+        stack[2] = 0.0
+        lhs, rhs, ratio = ratio_terms(stack)
+        for k, tup in enumerate(stack):
+            report = evaluate(tup)
+            assert (lhs[k], rhs[k], ratio[k]) == (report.lhs, report.rhs, report.ratio)
+            assert ratio_terms(tup) == (report.lhs, report.rhs, report.ratio)
+        assert ratio[2] == 0.0
+
+    def test_zero_tuple_has_ratio_zero(self):
+        terms = ratio_terms(np.zeros((3, 2, 2)))
+        assert terms == (0.0, 0.0, 0.0)
+        assert all(type(x) is float for x in terms)
+
+    def test_random_sweep_max_ratio(self, capsys):
+        # 5000 trials span two of the sweep's 4096-tuple batches
+        assert main(["ddvv", "--random", "3", "3", "5000", "--seed", "4",
+                     "--no-timestamp"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        g = np.random.default_rng(4).normal(size=(5000, 3, 3, 3))
+        ratio = ratio_terms((g + np.transpose(g, (0, 1, 3, 2))) / 2.0)[2]
+        assert out["max_ratio"] == float(np.max(ratio))
+        assert out["violations"] == 0
 
 class TestGradient:
     def test_against_central_differences(self):

@@ -39,6 +39,7 @@ from rigidity.pinching import (
     threshold_yau,
     verdict,
 )
+from rigidity.simons import PARALLEL_MEAN, laplacian_bound
 from rigidity.symmat import random_tuple, rotate_tuple, sgn
 
 # the indeterminate fixture: a seed-1 traceless n = 5 tuple scaled so the p=3
@@ -216,6 +217,69 @@ class TestHypotheses:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             verdict(veronese(1.0, 0.0), "thm3")
+
+
+class TestHypothesisMessages:
+    """Every gate of verdict(), theorem by theorem and branch by branch, with
+    the exact text `check` writes into an {"input", "error"} record."""
+
+    @pytest.mark.parametrize("which,data,message", [
+        *[(w, umbilical_sphere(3, 2, 1.0, 0.5),
+           f"{w} requires minimal data: some tr(H_a) is nonzero beyond tolerance")
+          for w in ("yau", "itoh", "thm1")],
+        *[(w, veronese(2.0, 0.0), f"{w} is stated in a unit sphere, got c = 2.0")
+          for w in ("yau", "itoh", "thm1")],
+        ("thm2", veronese(1.0, 0.0), "thm2 requires a mean-aligned frame (mean_index set)"),
+        ("thm2", umbilical_sphere(3, 2, 1.0, 0.0),
+         "thm2 requires nonzero parallel mean curvature, got H ~ 0"),
+        ("generalized", FundamentalData(n=3, p=2, c=1.0, forms=random_tuple(3, 2, seed=50)),
+         "generalized (minimal branch) requires traceless data or a mean-aligned frame"),
+        ("generalized", umbilical_sphere(3, 2, 1.0, 0.0),
+         "generalized (mean branch) requires nonzero mean curvature"),
+    ], ids=[f"{w}-{gate}" for gate in ("minimal", "unit-sphere") for w in ("yau", "itoh", "thm1")]
+        + ["thm2-frame", "thm2-zero-mean", "generalized-minimal", "generalized-zero-mean"])
+    def test_exact_message(self, which, data, message):
+        with pytest.raises(HypothesisError) as exc:
+            verdict(data, which)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("which,data,message", [
+        ("thm2", umbilical_sphere(3, 2, -1.0, 0.5), "need c + H^2 > 0, got -0.75"),
+        ("generalized", umbilical_sphere(3, 2, -1.0, 0.5), "need c + H^2 > 0, got -0.75"),
+        ("generalized", totally_geodesic(3, 2, -1.0), "need c + H^2 > 0, got -1.0"),
+    ], ids=["thm2", "generalized-mean", "generalized-minimal"])
+    def test_threshold_domain_is_a_plain_value_error(self, which, data, message):
+        with pytest.raises(ValueError) as exc:
+            verdict(data, which)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+    def test_generalized_has_no_unit_sphere_gate(self):
+        v = verdict(veronese(2.0, 0.0), "generalized")
+        assert v.threshold == threshold_generalized(2, 2, 2.0, 0.0) == float(Fraction(2, 3))
+        assert (v.status, v.label) == ("boundary", "Veronese")
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, -1e-300])
+    def test_rejects_tol_that_is_not_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError) as exc:
+            verdict(veronese(1.0, 0.0), "thm1", tol=tol)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"tol must be a finite number >= 0, got {tol}"
+
+    def test_zero_tol_is_accepted(self):
+        assert verdict(veronese(1.0, 0.0), "thm1", tol=0.0).threshold == float(Fraction(1, 3))
+
+
+class TestSingleNormalMeanCase:
+    def test_empty_restriction_gets_a_verdict_but_no_laplacian_bound(self):
+        # p = 1 in a mean-aligned frame: no non-mean direction is left, which
+        # verdict() accepts and the parametric bound of simons does not
+        data = umbilical_sphere(3, 1, 1.0, 0.5)
+        for which in ("thm2", "generalized"):
+            v = verdict(data, which)
+            assert (v.status, v.label, v.threshold) == ("strict", "UmbilicalSphere", 0.0)
+        with pytest.raises(ValueError) as exc:
+            laplacian_bound(data, 0.5, 0.0, PARALLEL_MEAN)
+        assert str(exc.value) == "parallel-mean case needs at least one non-mean direction"
 
 
 class TestFrameInvariance:
