@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -214,12 +213,6 @@ def _timestamp(args) -> str | None:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("RIGIDITY_SEED", "0"))
-
-
 def _auto_theorems(data: FundamentalData) -> list[str]:
     return ["thm2"] if data.mean_index is not None else ["thm1"]
 
@@ -259,14 +252,10 @@ def cmd_check(args) -> int:
     if not (np.isfinite(args.tol) and args.tol >= 0):
         print("error: --tol must be a finite number >= 0", file=sys.stderr)
         return EXIT_USAGE
-    args.seed = _resolve_seed(args.seed)
-    try:
-        items: list[tuple[str, FundamentalData]] = []
-        for path in args.inputs:
-            items.extend(load_inputs(path))
-    except ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    items = [item for path in args.inputs for item in load_inputs(path)]
     stamp = _timestamp(args)
 
     def check(item):
@@ -290,7 +279,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_ddvv(args) -> int:
-    args.seed = _resolve_seed(args.seed)
     if args.random:
         n, m, trials = args.random
         if n < 1 or m < 1 or trials < 1:
@@ -325,13 +313,8 @@ def cmd_ddvv(args) -> int:
                "timestamp": _timestamp(args)}, args.out)
         return EXIT_OK
     # --input
-    try:
-        items = load_inputs(args.input)
-    except ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     reports = []
-    for label, data in items:
+    for label, data in load_inputs(args.input):
         entry = {"input": label}
         entry.update(ddvv_to_dict(ddvv_mod.evaluate(data.forms)))
         reports.append(entry)
@@ -356,12 +339,9 @@ def cmd_immersion(args) -> int:
     if args.grid < 1:
         print("error: --grid must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.step is not None and not (np.isfinite(args.step) and args.step > 0):
-        print("error: --step must be a positive finite number", file=sys.stderr)
-        return EXIT_USAGE
     try:
         spec = builtin(args.builtin)
-        samples = sample_grid(spec, args.grid, args.step)
+        samples = sample_grid(spec, args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
@@ -425,8 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--budget", type=int, default=64,
                      help="random multistarts of the K_min plane search "
                           "(n >= 5; n <= 4 is closed form)")
-    chk.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default: $RIGIDITY_SEED or 0)")
+    chk.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     chk.add_argument("--jobs", type=int, default=1,
                      help="thread pool size for batch inputs (default: 1, serial)")
     chk.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -442,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="projected gradient ascent on the ratio")
     mode.add_argument("--input", help="evaluate the tuple of a FundamentalData file")
     ddv.add_argument("--iters", type=int, default=2000)
-    ddv.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default: $RIGIDITY_SEED or 0)")
+    ddv.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     ddv.add_argument("--out")
     ddv.add_argument("--no-timestamp", action="store_true")
     ddv.set_defaults(func=cmd_ddvv)
@@ -461,9 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     imm = sub.add_parser("immersion", help="sample a builtin immersion on a grid")
     imm.add_argument("--builtin", required=True, choices=list(BUILTINS))
     imm.add_argument("--grid", type=int, default=4, help="grid cells per axis")
-    imm.add_argument("--step", type=float, default=None,
-                     help="use central differences with this step "
-                          "(default: exact second jets by Taylor arithmetic)")
     imm.add_argument("--out")
     imm.set_defaults(func=cmd_immersion)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .symmat import rotate_tuple, seed_sequence, signfix, symmetrize
 
 TRACE_TOL = 1e-10
+NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_bracket
 
 
 def negligible_trace(size: float, forms: np.ndarray, tol: float = TRACE_TOL) -> bool:
@@ -376,8 +377,7 @@ def _thorpe(op: np.ndarray, vals: np.ndarray) -> tuple[float, np.ndarray]:
     return max(float(vals[0]), float(best)), w
 
 
-def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
-                 iters: int = 30) -> Bracket:
+def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
     """Certified bracket lo <= K_min <= hi for the minimal sectional curvature.
 
     lo starts as the smallest eigenvalue of the curvature operator on
@@ -387,7 +387,7 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
     bottom eigenvector is a plane; at n = 4 lo rises to Thorpe's bound (see
     _thorpe) and hi is K of the plane nearest its bottom eigenvector.  At
     n >= 5 lo stays the operator bound, and hi comes from one batched
-    Riemannian Newton search (_descend_frames, at most `iters` steps) over
+    Riemannian Newton search (_descend_frames, at most NEWTON_ITERS steps) over
     every coordinate plane, `budget` random orthonormal 2-frames and the
     plane nearest the bottom eigenvector (at n = 4, the one at Thorpe's
     maximizer).  The same search closes a closed-form bracket wider than
@@ -397,8 +397,6 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
         raise ValueError("sectional curvature needs n >= 2")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    if iters < 0:
-        raise ValueError(f"need iters >= 0, got {iters}")
     op = curvature_operator(riemann(data))
     vals = np.linalg.eigvalsh(op)
     lo = float(vals[0])
@@ -415,7 +413,7 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0,
     starts = ([np.column_stack([eye[i], eye[j]]) for i, j in zip(*np.triu_indices(data.n, 1))]
               + [np.random.default_rng(child).normal(size=(data.n, 2))
                  for child in seed_sequence(seed).spawn(budget)] + closed)
-    hi = min(hi, float(np.min(_descend_frames(data, np.stack(starts), iters))))
+    hi = min(hi, float(np.min(_descend_frames(data, np.stack(starts), NEWTON_ITERS))))
     # hi is a sectional value, so hi >= K_min >= lo up to evaluation round-off;
     # clamp the few-ulp drift so the bracket invariant holds exactly.
     return Bracket(lo=lo, hi=max(lo, hi))

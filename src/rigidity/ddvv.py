@@ -174,9 +174,10 @@ def detect_equality(t, tol: float = 1e-6) -> ExtremalStructure | None:
     m, n = t.shape[0], t.shape[1]
     if m < 2 or n < 2:
         return None
-    total = float(np.einsum("rij,rij->", t, t))
-    if total <= 0 or commutator_energy(t) / total**2 < 1.0 - tol:
+    _, rhs, ratio = ratio_terms(t)
+    if rhs <= 0 or ratio < 1.0 - tol:
         return None
+    total = float(np.einsum("rij,rij->", t, t))
 
     # Normal rotation from the Gram spectrum: the two dominant directions
     # carry the active pair.

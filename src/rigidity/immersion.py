@@ -8,8 +8,8 @@ step-size error (Griewank, Utke and Walther, Math. Comp. 2000).  One stacked
 eigh whitens the metrics, a vectorized pivoted Gram-Schmidt builds tangent
 and normal frames deterministically, and each point yields its (p, n, n)
 stack of form matrices: a FundamentalData instance that feeds every other
-module.  Central differences run only where they are asked for, by an
-explicit step, and for maps that reject the Taylor numbers.
+module.  Central differences at DEFAULT_STEP run only for maps that reject
+the Taylor numbers.
 """
 
 from __future__ import annotations
@@ -172,20 +172,11 @@ def _eval(spec: ImmersionSpec, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jets(spec: ImmersionSpec, points: np.ndarray, step):
-    """F (P, N), the Jacobians (P, N, n) and the Hessian stacks (P, N, n, n).
-
-    Exact Taylor jets when step is None and the map takes them; central
-    differences with `step` (DEFAULT_STEP for a map that rejects the jets).
-    """
-    if step is None:
-        exact = _taylor_jets(spec, points)
-        if exact is not None:
-            return exact
-        step = DEFAULT_STEP
-    elif not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step must be a positive finite number, got {step}")
-    return _difference_jets(spec, points, step)
+def _jets(spec: ImmersionSpec, points: np.ndarray):
+    """F (P, N), the Jacobians (P, N, n) and the Hessian stacks (P, N, n, n):
+    exact Taylor jets, else central differences at DEFAULT_STEP."""
+    exact = _taylor_jets(spec, points)
+    return exact if exact is not None else _difference_jets(spec, points, DEFAULT_STEP)
 
 
 def _taylor_jets(spec: ImmersionSpec, points: np.ndarray):
@@ -248,16 +239,13 @@ def _difference_jets(spec: ImmersionSpec, points: np.ndarray, step: float):
     return f0, jac, hess
 
 
-def differentiate(spec: ImmersionSpec, u, step: float | None = None):
-    """Jacobian (N, n) and symmetric Hessian stack (N, n, n) at u.
-
-    Exact by default; with an explicit step, central differences of O(step²).
-    """
-    _, jac, hess = _jets(spec, _points(spec, u), step)
+def differentiate(spec: ImmersionSpec, u):
+    """Jacobian (N, n) and symmetric Hessian stack (N, n, n) at u."""
+    _, jac, hess = _jets(spec, _points(spec, u))
     return jac[0], hess[0]
 
 
-def frames(spec: ImmersionSpec, u, step: float | None = None):
+def frames(spec: ImmersionSpec, u):
     """Orthonormal tangent rows (n, N) and normal rows (p, N) at u.
 
     Tangent: jacobian columns whitened by the inverse metric square root.
@@ -266,7 +254,7 @@ def frames(spec: ImmersionSpec, u, step: float | None = None):
     sphere) — deterministic, largest residual first.
     """
     points = _points(spec, u)
-    pos, jac, _ = _jets(spec, points, step)
+    pos, jac, _ = _jets(spec, points)
     _, tangent, normal = _frames(spec, points, pos, jac)
     return tangent[0], normal[0]
 
@@ -316,9 +304,9 @@ def _frames(spec: ImmersionSpec, points, pos, jac):
     return white, tangent, normal
 
 
-def _sample(spec: ImmersionSpec, points: np.ndarray, step) -> list[PointSample]:
+def _sample(spec: ImmersionSpec, points: np.ndarray) -> list[PointSample]:
     """The batched kernel: (P, n) parameter points to P PointSamples, in order."""
-    pos, jac, hess = _jets(spec, points, step)
+    pos, jac, hess = _jets(spec, points)
     white, tangent, normal = _frames(spec, points, pos, jac)
     hess_frame = np.einsum("kamn,kmi,knj->kaij", hess, white, white)
     forms = np.einsum("kpa,kaij->kpij", normal, hess_frame)  # FundamentalData symmetrizes
@@ -329,15 +317,14 @@ def _sample(spec: ImmersionSpec, points: np.ndarray, step) -> list[PointSample]:
             for k in range(len(points))]
 
 
-def second_fundamental_form(spec: ImmersionSpec, u, step: float | None = None) -> PointSample:
+def second_fundamental_form(spec: ImmersionSpec, u) -> PointSample:
     """Evaluate one parameter point into a PointSample (a batch of one).
 
     h^a_ij = < e_a, d^2F(E_i, E_j) > with E the whitened coordinate frame;
     inside a sphere the radial direction is excluded from the normal frame,
-    which is exactly the sphere-valued second fundamental form.  Exact second
-    jets by default; an explicit step selects central differences.
+    which is exactly the sphere-valued second fundamental form.
     """
-    return _sample(spec, _points(spec, u), step)[0]
+    return _sample(spec, _points(spec, u))[0]
 
 
 def grid_points(spec: ImmersionSpec, grid: int) -> list[np.ndarray]:
@@ -351,9 +338,9 @@ def grid_points(spec: ImmersionSpec, grid: int) -> list[np.ndarray]:
     return [np.array(pt) for pt in zip(*(m.ravel() for m in mesh))]
 
 
-def sample_grid(spec: ImmersionSpec, grid: int, step: float | None = None) -> list[PointSample]:
+def sample_grid(spec: ImmersionSpec, grid: int) -> list[PointSample]:
     """Evaluate every grid midpoint as one batch, in deterministic row-major order."""
-    return _sample(spec, np.stack(grid_points(spec, grid)), step)
+    return _sample(spec, np.stack(grid_points(spec, grid)))
 
 
 # -- builtin immersions --------------------------------------------------------

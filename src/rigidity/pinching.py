@@ -153,17 +153,17 @@ THEOREMS = tuple(_TABLE)
 
 
 def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
-            budget: int = 64, seed=0, bracket: Bracket | None = None) -> PinchVerdict:
+            bracket: Bracket | None = None) -> PinchVerdict:
     """Compare the certified K_min bracket of `data` against one theorem.
 
     A precomputed `bracket` (from kmin_bracket on the same data) is used as
-    is; otherwise one is searched with `budget` and `seed`.
+    is; otherwise it is kmin_bracket(data).
 
     Raises HypothesisError when the data violates the theorem's structural
     hypotheses (minimality, unit ambient curvature, nonzero parallel mean),
     and ValueError for an unknown theorem or a `tol` that is not a finite
-    number >= 0.  Verdicts are deterministic per seed and invariant under
-    admissible frame changes of the data.
+    number >= 0.  Verdicts are deterministic and invariant under admissible
+    frame changes of the data.
     """
     if which not in THEOREMS:
         raise ValueError(f"unknown theorem {which!r}, expected one of {THEOREMS}")
@@ -189,7 +189,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     restriction, s_ref, ambient = case_terms(data, inv, mean_case)
 
     if bracket is None:
-        bracket = kmin_bracket(data, budget=budget, seed=seed)
+        bracket = kmin_bracket(data)
     status = _classify(bracket, threshold, tol)
 
     sub = data.forms[list(restriction)]

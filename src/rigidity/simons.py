@@ -45,7 +45,7 @@ class ContractionReport:
     restriction: tuple[int, ...]
 
 
-def curvature_contraction(data: FundamentalData, tensor=None, restrict=None) -> float:
+def curvature_contraction(data: FundamentalData, restrict=None) -> float:
     """T_curv = sum_a [ sum_ijm h^a_ij h^a_mi Ric_mj - sum_ijkm h^a_ij h^a_km R_mijk ].
 
     The two contractions of the curvature tensor against each restricted form;
@@ -53,7 +53,7 @@ def curvature_contraction(data: FundamentalData, tensor=None, restrict=None) -> 
     which is what the pinching argument bounds below by n K_min S.
     """
     idx = data.restriction(restrict)
-    comp = (tensor if tensor is not None else riemann(data)).components
+    comp = riemann(data).components
     h = data.forms[list(idx)]
     ric = np.einsum("mkjk->mj", comp)
     term_ric = np.einsum("aij,ami,mj->", h, h, ric)
@@ -130,11 +130,11 @@ def commutator_trace_identity(data: FundamentalData, restrict=None) -> tuple[flo
     return n_comm_value(data, idx), bound
 
 
-def contraction_report(data: FundamentalData, tensor=None, restrict=None) -> ContractionReport:
+def contraction_report(data: FundamentalData, restrict=None) -> ContractionReport:
     idx = data.restriction(restrict)
     t_mixed = mean_coupling(data) if data.mean_index is not None else None
     return ContractionReport(
-        T_curv=curvature_contraction(data, tensor, idx),
+        T_curv=curvature_contraction(data, idx),
         N_comm=n_comm_value(data, idx),
         G_sq=g_sq_value(data, idx),
         T_mixed=t_mixed,

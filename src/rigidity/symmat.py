@@ -16,10 +16,10 @@ SYMMETRY_RTOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
 
 
-def symmetrize(a: np.ndarray, tol: float = SYMMETRY_RTOL) -> np.ndarray:
+def symmetrize(a: np.ndarray) -> np.ndarray:
     """Validate a square matrix or an (..., n, n) stack and return (A + A^T)/2.
 
-    Entries must be finite and satisfy |a_ij - a_ji| <= tol * max(1, max|a_ij|)
+    Entries must be finite and satisfy |a_ij - a_ji| <= SYMMETRY_RTOL * max(1, max|a_ij|)
     per matrix; anything worse is treated as corrupt input rather than
     round-off, and the error describes the first bad matrix.
     """
@@ -29,7 +29,7 @@ def symmetrize(a: np.ndarray, tol: float = SYMMETRY_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     at = np.swapaxes(a, -1, -2)
-    bound = tol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    bound = SYMMETRY_RTOL * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
     skew = np.max(np.abs(a - at), axis=(-2, -1))
     bad = np.flatnonzero(skew > bound)
     if bad.size:

@@ -1,10 +1,10 @@
 """Reference immersion sampling: one central-difference stencil per point, in a loop.
 
-This is the straightforward form of what `immersion` runs as one batch when a
-step is given: every parameter point gets its own 1 + 2n + 4·C(n, 2) map
-calls, its own metric `eigh` and its own pivoted Gram-Schmidt.  It shares no
-sampling code with the package, so tests can hold the batched kernel's
-explicit-step samples to it bit for bit.
+This is the straightforward form of what `immersion` runs as one batch for a
+map that rejects Taylor numbers: every parameter point gets its own
+1 + 2n + 4·C(n, 2) map calls, its own metric `eigh` and its own pivoted
+Gram-Schmidt.  It shares no sampling code with the package, so tests can hold
+the batched kernel's difference samples to it bit for bit.
 """
 
 import numpy as np

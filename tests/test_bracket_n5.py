@@ -145,16 +145,12 @@ def test_seed_plane_is_a_start(monkeypatch):
 
     def recorded(data, x0, iters):
         starts.append(x0)
-        return descend(data, x0, iters)
+        return descend(data, x0, 0)
 
     monkeypatch.setattr(curvature, "_descend_frames", recorded)
-    b = kmin_bracket(data, budget=0, seed=0, iters=0)
+    b = kmin_bracket(data, budget=0, seed=0)
     op = curvature.curvature_operator(riemann(data))
     seed_plane = curvature._nearest_plane(np.linalg.eigh(op)[1][:, 0], data.n)
     assert len(starts) == 1 and np.array_equal(starts[0][-1], seed_plane)
     assert b.hi == max(b.lo, float(curvature._frame_values(data, seed_plane[None])[0]))
 
-
-def test_negative_iters_is_rejected():
-    with pytest.raises(ValueError, match="iters"):
-        kmin_bracket(make_general(5, 1, 0.0, np.random.default_rng(1)), iters=-1)

@@ -6,6 +6,7 @@ stdout unless --out is given; determinism is byte-level once --no-timestamp
 strips wall-clock fields.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -273,14 +274,6 @@ class TestDdvvCommand:
                          "--maximize", "2", "2", "5")
         assert code == 5
 
-    def test_seed_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_SEED", "11")
-        _, out, _ = run(capsys, "ddvv", "--random", "2", "2", "5", "--no-timestamp")
-        assert json.loads(out)["seed"] == 11
-        _, out2, _ = run(capsys, "ddvv", "--random", "2", "2", "5",
-                         "--seed", "3", "--no-timestamp")
-        assert json.loads(out2)["seed"] == 3
-
 
 class TestModelCommand:
     def test_veronese_round_trip(self, capsys):
@@ -315,23 +308,12 @@ class TestImmersionCommand:
     @pytest.mark.parametrize("argv,flag", [
         (("--grid", "0"), "--grid"),
         (("--grid", "-2"), "--grid"),
-        (("--step", "0"), "--step"),
-        (("--step=-1e-4",), "--step"),
-        (("--step", "nan"), "--step"),
-        (("--step", "inf"), "--step"),
     ])
     def test_bad_arguments_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run(capsys, "immersion", "--builtin", "graph", *argv)
         assert code == 5 and out == ""
         assert err.startswith("error: ") and flag in err
         assert len(err.strip().splitlines()) == 1
-
-    def test_step_selects_central_differences(self, capsys):
-        code, out, _ = run(capsys, "immersion", "--builtin", "veronese", "--grid", "2",
-                           "--step", "1e-3")
-        assert code == 0
-        expected = sample_grid(builtin("veronese"), 2, step=1e-3)
-        assert [sample_from_dict(obj) for obj in json.loads(out)] == expected
 
     @pytest.mark.parametrize("name", ["clifford", "veronese"])
     def test_readme_pipeline_at_default_tol(self, capsys, tmp_path, name):
@@ -481,6 +463,15 @@ class TestSearchArguments:
         assert code == 5 and out == ""
         assert err == "error: --budget must be >= 0\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_check_rejects_bad_jobs(self, capsys, tmp_path, jobs):
+        path = write_data(tmp_path / "v.json", veronese(1.0, 0.0))
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "check", path, "--jobs", jobs, "--out", str(report),
+                             "--no-timestamp")
+        assert code == 5 and out == "" and not report.exists()
+        assert err == "error: --jobs must be >= 1\n"
+
     # the doubled Veronese forms fail thm1 (K = -5/3 against 1/3); an infinite
     # --tol would certify them as boundary
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf"])
@@ -508,3 +499,39 @@ class TestSearchArguments:
             assert len(json.loads(out)["records"]) == len(batch)
             outs.add(out)
         assert len(outs) == 1
+
+
+class TestSettableValues:
+    """Every flag is a configuration the tests must cover, so the set is pinned."""
+
+    def test_option_strings_are_pinned(self):
+        # adding a flag edits this literal, and CHANGES.md says what it buys
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: {s for a in p._actions for s in a.option_strings}
+                   for name, p in sub.choices.items()}
+        helps = {"-h", "--help"}
+        assert options == {
+            "check": helps | {"--theorem", "--tol", "--budget", "--seed", "--jobs", "--out",
+                              "--no-timestamp"},
+            "ddvv": helps | {"--random", "--maximize", "--input", "--iters", "--seed", "--out",
+                             "--no-timestamp"},
+            "model": helps | {"--n", "--p", "--k", "--c", "--H", "--out"},
+            "immersion": helps | {"--builtin", "--grid", "--out"},
+            "pinch": helps | {"--table", "--out"},
+        }
+
+    def test_step_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "immersion", "--builtin", "graph", "--step", "1e-4")
+        assert code == 5 and out == "" and "--step" in err
+
+    def test_seed_environment_is_ignored(self, capsys, tmp_path, monkeypatch):
+        # only --seed picks the seed (default 0), so the same argv gives the same bytes
+        path = write_data(tmp_path / "indet.json", INDET_DATA)
+        commands = [("ddvv", "--random", "3", "3", "50", "--no-timestamp"),
+                    ("check", path, "--budget", "4", "--no-timestamp")]
+        monkeypatch.delenv("RIGIDITY_SEED", raising=False)
+        plain = [run(capsys, *argv) for argv in commands]
+        monkeypatch.setenv("RIGIDITY_SEED", "11")
+        assert [run(capsys, *argv) for argv in commands] == plain
+        assert json.loads(plain[0][1])["seed"] == 0

@@ -211,6 +211,24 @@ class TestDetectEquality:
         assert detect_equality(np.zeros((2, 2, 2))) is None
         assert detect_equality(np.ones((1, 3, 3))) is None  # m < 2
 
+    def test_gate_is_the_ratio_kernel(self):
+        # total**2 is a libm pow call and total * total is not, so on these
+        # tuples a ratio of the other form sits one ulp off ratio_terms'; with
+        # 1 - tol on the ratio or one ulp above it, only the kernel's value
+        # decides, as it does for evaluate's equality flag
+        rng = np.random.default_rng(7)
+        stack = extremal_pair(3, 3, 1.0) + 0.1 * random_tuple(3, 3 * 20000, rng).reshape(
+            20000, 3, 3, 3)
+        totals = [float(np.einsum("rij,rij->", t, t)) for t in stack]
+        picked = [t for t, total in zip(stack, totals) if total**2 != total * total]
+        assert len(picked) >= 8
+        for t in picked:
+            ratio = ratio_terms(t)[2]
+            assert 0.5 <= ratio < 1.0   # so 1 - (1 - r) == r exactly
+            for gate in (ratio, np.nextafter(ratio, 2.0)):
+                tol = 1.0 - gate
+                assert (detect_equality(t, tol) is not None) == (ratio >= 1.0 - tol)
+
 
 class TestMaximizeRatio:
     def test_small_shapes_reach_equality(self):

@@ -16,6 +16,7 @@ import pytest
 import commutator_reference as ref
 from conftest import make_minimal
 from rigidity import ddvv
+from rigidity.curvature import kmin_bracket
 from rigidity.ddvv import commutator_energy, energy_gradient
 from rigidity.models import veronese
 from rigidity.pinching import verdict
@@ -116,6 +117,7 @@ def test_verdict_ratio_skips_evaluate(monkeypatch):
         raise AssertionError("verdict re-evaluated DDVV")
 
     monkeypatch.setattr(ddvv, "evaluate", refuse)
-    assert "ddvv-equality" in verdict(veronese(1.0, 0.0), "thm1", budget=0).notes
+    data = veronese(1.0, 0.0)
+    assert "ddvv-equality" in verdict(data, "thm1", bracket=kmin_bracket(data, budget=0)).notes
     data = make_minimal(3, 2, 1.0, np.random.default_rng(77), scale=0.1)
-    assert "ddvv-equality" not in verdict(data, "thm1", budget=0).notes
+    assert "ddvv-equality" not in verdict(data, "thm1", bracket=kmin_bracket(data, budget=0)).notes

@@ -147,13 +147,14 @@ class TestVerdictFixtures:
                             rtol=1e-10)
 
     def test_indeterminate_straddle(self):
-        v = verdict(INDET, "thm1", budget=16, seed=0)
+        v = verdict(INDET, "thm1", bracket=kmin_bracket(INDET, budget=16, seed=0))
         assert v.status == "indeterminate"
         assert v.kmin_bracket.lo < v.threshold < v.kmin_bracket.hi
         assert v.threshold == 0.375
 
     def test_former_n4_straddle_is_decided(self):
-        v = verdict(FORMER_INDET_N4, "thm1", budget=16, seed=0)
+        v = verdict(FORMER_INDET_N4, "thm1",
+                    bracket=kmin_bracket(FORMER_INDET_N4, budget=16, seed=0))
         assert v.status == "strict"
         b = v.kmin_bracket
         assert v.threshold == 0.375 < b.lo <= b.hi
@@ -187,8 +188,8 @@ class TestPrecomputedBracket:
         ("generalized", make_minimal(4, 3, 1.0, np.random.default_rng(64))),
     ], ids=["thm1", "itoh", "thm2", "generalized-mean", "generalized-minimal"])
     def test_given_bracket_matches_search(self, which, data):
-        given = verdict(data, which, bracket=kmin_bracket(data, budget=16, seed=0))
-        assert given == verdict(data, which, budget=16, seed=0)
+        given = verdict(data, which, bracket=kmin_bracket(data))
+        assert given == verdict(data, which)
 
 
 class TestHypotheses:
@@ -286,12 +287,12 @@ class TestFrameInvariance:
     def test_minimal_verdict_invariant_under_normal_rotation(self):
         rng = np.random.default_rng(51)
         data = make_minimal(4, 3, 1.0, rng, scale=0.4)
-        base = verdict(data, "thm1", budget=16, seed=0)
+        base = verdict(data, "thm1", bracket=kmin_bracket(data, budget=16, seed=0))
         for k in range(5):
             q = random_orthogonal(3, rng)
             rotated = FundamentalData(n=4, p=3, c=1.0,
                                       forms=rotate_tuple(data.forms, q))
-            v = verdict(rotated, "thm1", budget=16, seed=0)
+            v = verdict(rotated, "thm1", bracket=kmin_bracket(rotated, budget=16, seed=0))
             assert (v.status, v.label, v.threshold) == \
                 (base.status, base.label, base.threshold), f"draw {k}"
             npt.assert_allclose([v.kmin_bracket.lo, v.kmin_bracket.hi],
@@ -303,13 +304,13 @@ class TestFrameInvariance:
         rest = random_tuple(3, 2, rng, scale=0.4, traceless=True)
         forms = np.concatenate([0.7 * np.eye(3)[None], rest])
         data = FundamentalData(n=3, p=3, c=1.0, forms=forms, mean_index=0)
-        base = verdict(data, "thm2", budget=16, seed=0)
+        base = verdict(data, "thm2", bracket=kmin_bracket(data, budget=16, seed=0))
         for k in range(5):
             block = np.eye(3)
             block[1:, 1:] = random_orthogonal(2, rng)
             rotated = FundamentalData(n=3, p=3, c=1.0,
                                       forms=rotate_tuple(forms, block), mean_index=0)
-            v = verdict(rotated, "thm2", budget=16, seed=0)
+            v = verdict(rotated, "thm2", bracket=kmin_bracket(rotated, budget=16, seed=0))
             assert (v.status, v.label) == (base.status, base.label), f"draw {k}"
 
 
