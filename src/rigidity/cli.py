@@ -21,11 +21,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import ddvv as ddvv_mod
-from .curvature import Bracket, FundamentalData, invariants, kmin_bracket
+from .curvature import Bracket, FundamentalData, invariants_stack, kmin_bracket, surface_brackets
 from .immersion import BUILTINS, PointSample, builtin, sample_grid
 from .models import MODEL_KINDS, ModelSpec, build_model
 from .pinching import THEOREMS, HypothesisError, PinchVerdict, severity, verdict
-from .symmat import random_tuple
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -53,6 +52,21 @@ def _is_int(value) -> bool:
 
 
 def data_from_dict(obj) -> FundamentalData:
+    return _data_from_dicts([obj])[0]
+
+
+def _data_from_dicts(objs) -> list[FundamentalData]:
+    """data_from_dict of every payload, records sharing n, p, c and mean_index as one stack
+    (repr(c) keeps 0.0 and -0.0 apart)."""
+    def stack(group):
+        n, p, c, _, mean_index = group[0]
+        return FundamentalData.stack(n, p, c, np.stack([f[3] for f in group]), mean_index)
+
+    return _by_group([_fields(obj) for obj in objs], lambda f: (*f[:2], repr(f[2]), f[4]), stack)
+
+
+def _fields(obj) -> tuple:
+    """(n, p, c, forms, mean_index) of one FundamentalData payload, each field checked."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("n", "p", "c", "H_matrices"):
@@ -70,7 +84,19 @@ def data_from_dict(obj) -> FundamentalData:
     forms = np.asarray(obj["H_matrices"], dtype=float)
     if not np.all(np.isfinite(forms)):
         raise ValueError("field 'H_matrices' has non-finite entries")
-    return FundamentalData(n=n, p=p, c=float(c), forms=forms, mean_index=mean_index)
+    return n, p, float(c), forms, mean_index
+
+
+def _by_group(items, key, run) -> list:
+    """One result per item: run(items) on each group of items with equal key(item)."""
+    groups: dict = {}
+    for k, item in enumerate(items):
+        groups.setdefault(key(item), []).append(k)
+    out = [None] * len(items)
+    for group in groups.values():
+        for k, result in zip(group, run([items[k] for k in group])):
+            out[k] = result
+    return out
 
 
 def bracket_to_dict(b: Bracket) -> dict:
@@ -188,17 +214,18 @@ def load_inputs(path: str) -> list[tuple[str, FundamentalData]]:
     except OSError as exc:
         raise ParseFailure(f"{path}: {exc.strerror or exc}") from exc
 
-    def coerce(obj, label):
-        if isinstance(obj, dict) and "data" in obj:
-            obj = obj["data"]
-        try:
-            return label, data_from_dict(obj)
-        except ValueError as exc:
-            raise ParseFailure(f"{label}: {exc}") from exc
-
-    if isinstance(payload, list):
-        return [coerce(item, f"{path}#{i}") for i, item in enumerate(payload)]
-    return [coerce(payload, path)]
+    entries = payload if isinstance(payload, list) else [payload]
+    labels = [f"{path}#{i}" for i in range(len(entries))] if isinstance(payload, list) else [path]
+    objs = [obj["data"] if isinstance(obj, dict) and "data" in obj else obj for obj in entries]
+    try:
+        return list(zip(labels, _data_from_dicts(objs)))
+    except ValueError:
+        for label, obj in zip(labels, objs):  # name the first bad record, in file order
+            try:
+                data_from_dict(obj)
+            except ValueError as exc:
+                raise ParseFailure(f"{label}: {exc}") from exc
+        raise
 
 
 class ParseFailure(Exception):
@@ -217,11 +244,21 @@ def _auto_theorems(data: FundamentalData) -> list[str]:
     return ["thm2"] if data.mean_index is not None else ["thm1"]
 
 
-def _check_one(label: str, data: FundamentalData, args, stamp) -> ReportRecord:
+def _array_pass(datas: list[FundamentalData]) -> list[tuple]:
+    """(invariants, bracket, DDVV report) of records sharing n, p, c and mean_index, from
+    one stack; the bracket is None at n >= 3, where the plane search runs per record."""
+    first, forms = datas[0], np.stack([data.forms for data in datas])
+    brackets = surface_brackets(forms, first.c) if first.n == 2 else [None] * len(datas)
+    return list(zip(invariants_stack(forms, first.c, first.mean_index), brackets,
+                    ddvv_mod.evaluate_stack(forms)))
+
+
+def _check_one(label: str, data: FundamentalData, args, stamp, staged) -> ReportRecord:
+    """The per-record stage of `check`, from the record's row of its array pass."""
     t0 = time.perf_counter()
-    inv = invariants(data)
-    bracket = kmin_bracket(data, budget=args.budget, seed=args.seed)
-    dd = ddvv_mod.evaluate(data.forms)
+    inv, bracket, dd = staged
+    if bracket is None:
+        bracket = kmin_bracket(data, budget=args.budget, seed=args.seed)
     theorems = args.theorem or ["auto"]
     wanted: list[str] = []
     for th in theorems:
@@ -258,19 +295,24 @@ def cmd_check(args) -> int:
     items = [item for path in args.inputs for item in load_inputs(path)]
     stamp = _timestamp(args)
 
-    def check(item):
+    # one array pass per group; it raises on no validated data (non-finite sums stay
+    # NaN/inf), so what can fail, the n >= 3 plane search and the verdicts, runs per record
+    staged = _by_group([data for _, data in items],
+                       lambda d: (d.n, d.p, repr(d.c), d.mean_index), _array_pass)
+
+    def check(item, pre):
         label, data = item
         try:
-            return _check_one(label, data, args, stamp)
+            return _check_one(label, data, args, stamp, pre)
         except ValueError as exc:  # HypothesisError included
             return ErrorRecord(input=label, error=str(exc))
 
     if args.jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(check, items))
+            records = list(pool.map(check, items, staged))
     else:
-        records = [check(item) for item in items]
+        records = [check(item, pre) for item, pre in zip(items, staged)]
     for r in records:
         if isinstance(r, ErrorRecord):
             print(f"error: {r.input}: {r.error}", file=sys.stderr)
@@ -287,10 +329,13 @@ def cmd_ddvv(args) -> int:
         rng = np.random.default_rng(args.seed)
         best = 0.0
         violations = 0
+        draws, tuples = np.empty((2, min(4096, trials) * m, n, n))  # reused batch buffers
         for done in range(0, trials, 4096):
             batch = min(4096, trials - done)
-            t = random_tuple(n, batch * m, rng).reshape(batch, m, n, n)
-            ratio = ddvv_mod.ratio_terms(t)[2]
+            g = rng.standard_normal(out=draws[: batch * m])  # the bits of normal(size=)
+            t = np.add(g, np.swapaxes(g, 1, 2), out=tuples[: batch * m])
+            t /= 2.0
+            ratio = ddvv_mod.ratio_terms(t.reshape(batch, m, n, n))[2]
             best = max(best, float(np.max(ratio)))
             violations += int(np.sum(ratio > 1.0 + 1e-12))
         _dump({"mode": "random", "n": n, "m": m, "trials": trials,
@@ -313,11 +358,10 @@ def cmd_ddvv(args) -> int:
                "timestamp": _timestamp(args)}, args.out)
         return EXIT_OK
     # --input
-    reports = []
-    for label, data in load_inputs(args.input):
-        entry = {"input": label}
-        entry.update(ddvv_to_dict(ddvv_mod.evaluate(data.forms)))
-        reports.append(entry)
+    items = load_inputs(args.input)
+    reports = _by_group([data for _, data in items], lambda d: d.forms.shape,
+                        lambda ds: ddvv_mod.evaluate_stack(np.stack([d.forms for d in ds])))
+    reports = [{"input": label, **ddvv_to_dict(r)} for (label, _), r in zip(items, reports)]
     _dump({"mode": "input", "reports": reports, "timestamp": _timestamp(args)},
           args.out)
     return EXIT_OK

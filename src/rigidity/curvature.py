@@ -23,9 +23,11 @@ TRACE_TOL = 1e-10
 NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_bracket
 
 
-def negligible_trace(size: float, forms: np.ndarray, tol: float = TRACE_TOL) -> bool:
-    """Whether a trace magnitude (chosen by the caller) is zero at scale max(1, n max|h|)."""
-    return float(size) <= tol * max(1.0, float(np.max(np.abs(forms))) * forms.shape[-1])
+def negligible_trace(size, forms: np.ndarray, tol: float = TRACE_TOL):
+    """Whether a trace magnitude (chosen by the caller) is zero at scale max(1, n max|h|);
+    record by record for a (..., p, n, n) stack of forms and sizes of shape (...)."""
+    scale = np.max(np.abs(forms), axis=(-3, -2, -1)) * forms.shape[-1]
+    return size <= tol * np.maximum(1.0, scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,26 +47,38 @@ class FundamentalData:
     mean_index: int | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 1:
-            raise ValueError(f"need n >= 1 and p >= 1, got n={self.n}, p={self.p}")
-        if not np.isfinite(self.c):
-            raise ValueError(f"ambient curvature c must be finite, got c={self.c}")
-        forms = np.asarray(self.forms, dtype=float)
-        if forms.shape != (self.p, self.n, self.n):
-            raise ValueError(
-                f"forms must have shape ({self.p}, {self.n}, {self.n}), got {forms.shape}"
-            )
+        forms = np.asarray(self.forms, dtype=float)[None]  # a record alone: a stack of one
+        object.__setattr__(self, "forms",
+                           self.stack(self.n, self.p, self.c, forms, self.mean_index)[0].forms)
+
+    @classmethod
+    def stack(cls, n: int, p: int, c: float, forms,
+              mean_index: int | None = None) -> list[FundamentalData]:
+        """One record per member of an (R, p, n, n) stack of forms, validated as one array.
+
+        An error names the first failing check and its first bad record.
+        """
+        if n < 1 or p < 1:
+            raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+        if not np.isfinite(c):
+            raise ValueError(f"ambient curvature c must be finite, got c={c}")
+        forms = np.asarray(forms, dtype=float)
+        if forms.shape[1:] != (p, n, n):
+            raise ValueError(f"forms must have shape ({p}, {n}, {n}), got {forms.shape[1:]}")
         forms = symmetrize(forms)
-        object.__setattr__(self, "forms", forms)
-        if self.mean_index is not None:
-            if not 0 <= self.mean_index < self.p:
-                raise ValueError(f"mean_index {self.mean_index} out of range for p={self.p}")
-            others = np.delete(np.einsum("aii->a", forms), self.mean_index)
-            if others.size and not negligible_trace(np.max(np.abs(others)), forms):
-                raise ValueError(
-                    "mean_index set but another member has nonzero trace "
-                    f"(max {np.max(np.abs(others)):.3e})"
-                )
+        if mean_index is not None:
+            if not 0 <= mean_index < p:
+                raise ValueError(f"mean_index {mean_index} out of range for p={p}")
+            others = np.delete(np.einsum("raii->ra", forms), mean_index, axis=1)
+            size = np.max(np.abs(others), axis=1, initial=0.0)
+            bad = np.flatnonzero(~negligible_trace(size, forms))
+            if bad.size:
+                raise ValueError("mean_index set but another member has nonzero trace "
+                                 f"(max {size[bad[0]]:.3e})")
+        records = [object.__new__(cls) for _ in forms]  # valid already: no __post_init__
+        for record, member in zip(records, forms):
+            record.__dict__.update(n=n, p=p, c=c, forms=member, mean_index=mean_index)
+        return records
 
     def __eq__(self, other):
         if not isinstance(other, FundamentalData):
@@ -156,13 +170,18 @@ class Bracket:
 
 # -- tensors ------------------------------------------------------------------
 
+def _gauss(forms: np.ndarray, c: float) -> np.ndarray:
+    """R_ijkl of every record of an (R, p, n, n) stack sharing c, as (R, n, n, n, n)."""
+    eye = np.eye(forms.shape[-1])
+    const = c * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+    quad = (np.einsum("raik,rajl->rijkl", forms, forms)
+            - np.einsum("rail,rajk->rijkl", forms, forms))
+    return const + quad
+
+
 def riemann(data: FundamentalData) -> CurvatureTensor:
     """Gauss equation: curvature tensor of the induced metric."""
-    n, c, h = data.n, data.c, data.forms
-    eye = np.eye(n)
-    const = c * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    quad = np.einsum("aik,ajl->ijkl", h, h) - np.einsum("ail,ajk->ijkl", h, h)
-    return CurvatureTensor(n, const + quad)
+    return CurvatureTensor(data.n, _gauss(data.forms[None], data.c)[0])
 
 
 def normal_curvature(data: FundamentalData) -> np.ndarray:
@@ -186,17 +205,21 @@ def sectional(tensor: CurvatureTensor, plane: PlaneSpec) -> float:
 
 
 def invariants(data: FundamentalData) -> ScalarInvariants:
-    h = data.forms
-    n = data.n
-    s_total = float(np.einsum("aij,aij->", h, h))
-    traces = data.traces
-    mean = float(np.sqrt(np.sum(traces**2))) / n
-    s_h = s_i = None
-    if data.mean_index is not None:
-        s_h = float(np.sum(h[data.mean_index] ** 2))
-        s_i = s_total - s_h
-    r_scal = n * (n - 1) * data.c + n**2 * mean**2 - s_total
-    return ScalarInvariants(S=s_total, H=mean, S_H=s_h, S_I=s_i, R_scal=r_scal)
+    return invariants_stack(data.forms[None], data.c, data.mean_index)[0]
+
+
+def invariants_stack(forms: np.ndarray, c: float,
+                     mean_index: int | None = None) -> list[ScalarInvariants]:
+    """invariants of every record of an (R, p, n, n) stack sharing c and mean_index; the
+    sums run over the stack, and each record's values have its own invariants' bits."""
+    n = forms.shape[-1]
+    s_total = np.einsum("raij,raij->r", forms, forms).tolist()
+    means = (np.sqrt(np.sum(np.einsum("raii->ra", forms) ** 2, axis=1)) / n).tolist()
+    s_h = ([None] * len(forms) if mean_index is None
+           else np.sum(forms[:, mean_index] ** 2, axis=(1, 2)).tolist())
+    return [ScalarInvariants(S=s, H=h, S_H=sh, S_I=None if sh is None else s - sh,
+                             R_scal=n * (n - 1) * c + n**2 * h**2 - s)
+            for s, h, sh in zip(s_total, means, s_h)]
 
 
 def case_terms(data: FundamentalData, inv: ScalarInvariants,
@@ -217,9 +240,29 @@ def curvature_operator(tensor: CurvatureTensor) -> np.ndarray:
     minimum, since K(u, v) is the operator's quadratic form at the unit
     decomposable 2-vector u ^ v.
     """
-    i, j = np.triu_indices(tensor.n, 1)
-    mat = tensor.components[i[:, None], j[:, None], i, j]
-    return (mat + mat.T) / 2.0
+    return _operator(tensor.components[None])[0]
+
+
+def _operator(components: np.ndarray) -> np.ndarray:
+    """curvature_operator of every (n, n, n, n) tensor of an (R, n, n, n, n) stack."""
+    i, j = np.triu_indices(components.shape[-1], 1)
+    mat = components[:, i[:, None], j[:, None], i, j]
+    return (mat + np.swapaxes(mat, 1, 2)) / 2.0
+
+
+def operator_bounds(forms: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature operators (R, N, N) of an (R, p, n, n) stack of forms sharing c, and their
+    ascending eigenvalues (R, N): each operator's lowest is the lower end of kmin_bracket."""
+    op = _operator(_gauss(forms, c))
+    return op, np.linalg.eigvalsh(op)
+
+
+def surface_brackets(forms: np.ndarray, c: float) -> list[Bracket]:
+    """kmin_bracket of every record of an (R, p, 2, 2) stack sharing c.
+
+    A surface has one tangent plane, so its operator bound is K itself: lo = hi.
+    """
+    return [Bracket(lo=k, hi=k) for k in operator_bounds(forms, c)[1][:, 0].tolist()]
 
 
 def _gram_schmidt(x: np.ndarray) -> np.ndarray:
@@ -397,13 +440,11 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
         raise ValueError("sectional curvature needs n >= 2")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    op = curvature_operator(riemann(data))
-    vals = np.linalg.eigvalsh(op)
-    lo = float(vals[0])
     if data.n == 2:
-        return Bracket(lo=lo, hi=lo)
+        return surface_brackets(data.forms[None], data.c)[0]
+    op, vals = (a[0] for a in operator_bounds(data.forms[None], data.c))
 
-    lo, w = _thorpe(op, vals) if data.n == 4 else (lo, np.linalg.eigh(op)[1][:, 0])
+    lo, w = _thorpe(op, vals) if data.n == 4 else (float(vals[0]), np.linalg.eigh(op)[1][:, 0])
     closed = [_nearest_plane(w, data.n)]
     hi = float(_frame_values(data, closed[0][None])[0])
     if data.n <= 4 and hi - lo <= 1e-12 * max(1.0, abs(hi)):

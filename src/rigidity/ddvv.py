@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import as_tuple, random_tuple, rotate_tuple, seed_sequence, signfix
+from .symmat import as_tuple, random_tuple, seed_sequence, signfix
 
 EQUALITY_RTOL = 1e-8
 
@@ -61,10 +61,16 @@ class MaximizeResult:
 
 
 def _pair_commutators(t: np.ndarray):
-    """Yield r, s and [B_r, B_s], one (..., n, n) stack, for each pair r < s."""
+    """Yield r, s and [B_r, B_s], one (..., n, n) stack, for each pair r < s.
+
+    Every pair is written into the same two buffers, so a batch allocates them
+    once; the yielded array is overwritten by the next pair.
+    """
+    comm, prod = np.empty((2, *t.shape[:-3], *t.shape[-2:]))
     for r, s in itertools.combinations(range(t.shape[-3]), 2):
-        comm = t[..., r, :, :] @ t[..., s, :, :]
-        comm -= t[..., s, :, :] @ t[..., r, :, :]  # not (AB)^T: finite differences leave Sym
+        np.matmul(t[..., r, :, :], t[..., s, :, :], out=comm)
+        # not (AB)^T: finite differences leave Sym
+        comm -= np.matmul(t[..., s, :, :], t[..., r, :, :], out=prod)
         yield r, s, comm
 
 
@@ -107,12 +113,18 @@ def ratio_terms(t: np.ndarray):
 
 def evaluate(t) -> DdvvReport:
     """Evaluate lhs, rhs and their ratio; detect the equality configuration."""
-    t = as_tuple(t)
+    return evaluate_stack(as_tuple(t)[None])[0]
+
+
+def evaluate_stack(t: np.ndarray) -> list[DdvvReport]:
+    """evaluate every tuple of a validated (R, m, n, n) stack: one ratio_terms for all, then
+    equality_structures for those past its gate; each report has its own evaluate's bits."""
     lhs, rhs, ratio = ratio_terms(t)
-    equality = rhs > 0 and ratio >= 1.0 - EQUALITY_RTOL
-    structure = detect_equality(t, EQUALITY_RTOL) if equality else None
-    return DdvvReport(lhs=lhs, rhs=rhs, ratio=ratio, equality=equality,
-                      extremal_structure=structure)
+    equal = (rhs > 0) & (ratio >= 1.0 - EQUALITY_RTOL)
+    found = iter(equality_structures(t[equal]) if equal.any() else [])
+    return [DdvvReport(lhs=lo, rhs=hi, ratio=q, equality=e,
+                       extremal_structure=next(found) if e else None)
+            for lo, hi, q, e in zip(lhs.tolist(), rhs.tolist(), ratio.tolist(), equal.tolist())]
 
 
 def extremal_pair(n: int, m: int, mu: float, rotation: np.ndarray | None = None,
@@ -177,49 +189,61 @@ def detect_equality(t, tol: float = 1e-6) -> ExtremalStructure | None:
     _, rhs, ratio = ratio_terms(t)
     if rhs <= 0 or ratio < 1.0 - tol:
         return None
-    total = float(np.einsum("rij,rij->", t, t))
+    return equality_structures(t[None])[0]
+
+
+def equality_structures(t: np.ndarray) -> list[ExtremalStructure]:
+    """detect_equality's recovery for every tuple of an (R, m, n, n) stack past its gate
+    (m, n >= 2, rhs > 0) at once, bit for bit; only the basis completion runs per tuple."""
+    k, n = t.shape[0], t.shape[-1]
+    total = np.einsum("...rij,...rij->...", t, t)
 
     # Normal rotation from the Gram spectrum: the two dominant directions
     # carry the active pair.
-    gram = np.einsum("rij,sij->rs", t, t)
-    vals, vecs = np.linalg.eigh(gram)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    q = signfix(vecs[:, order]).T
-    rot = rotate_tuple(t, q)
-    a, b = rot[0], rot[1]
-    offplane = float(np.sqrt(max(0.0, np.sum(rot[2:] ** 2)))) if m > 2 else 0.0
-    offplane_frac = offplane / np.sqrt(total)
+    vals, vecs = np.linalg.eigh(np.einsum("krij,ksij->krs", t, t))
+    order = np.argsort(vals)[:, ::-1]
+    vals = np.take_along_axis(vals, order, axis=1)
+    q = np.swapaxes(signfix(np.take_along_axis(vecs, order[:, None], axis=2)), 1, 2)
+    rot = np.einsum("krs,ksij->krij", q, t)
+    a, b = rot[:, 0], rot[:, 1]
+    offplane = np.sum(rot[:, 2:].reshape(k, -1) ** 2, axis=1)
+    offplane_frac = np.sqrt(np.where(offplane > 0.0, offplane, 0.0)) / np.sqrt(total)
 
     # Active tangent plane: top-2 eigenspace of A^2 + B^2 (= 2 mu^2 projector
     # at exact equality).
     qvals, qvecs = np.linalg.eigh(a @ a + b @ b)
-    plane = signfix(qvecs[:, np.argsort(qvals)[::-1][:2]])
+    plane = signfix(np.take_along_axis(qvecs, np.argsort(qvals)[:, :-3:-1][:, None], axis=2))
 
     # In-plane, traceless symmetric 2x2 matrices are x*diag(1,-1) + y*offdiag(1);
     # conjugating by the rotation R_phi spins (x, y) by -2 phi.  Park A at
     # (0, +) — the offdiagonal form — then reflect if B lands at (-, 0).
-    a2 = plane.T @ a @ plane
-    xa, ya = (a2[0, 0] - a2[1, 1]) / 2.0, (a2[0, 1] + a2[1, 0]) / 2.0
+    a2 = np.swapaxes(plane, 1, 2) @ a @ plane
+    xa, ya = (a2[:, 0, 0] - a2[:, 1, 1]) / 2.0, (a2[:, 0, 1] + a2[:, 1, 0]) / 2.0
     phi = (np.arctan2(ya, xa) - np.pi / 2.0) / 2.0
-    spin = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-    plane = plane @ spin
-    b2 = plane.T @ b @ plane
-    if (b2[0, 0] - b2[1, 1]) / 2.0 < 0:
-        plane = plane @ np.array([[0.0, 1.0], [1.0, 0.0]])
-    tangent = _complete_basis(plane) if n > 2 else plane
+    cos, sin = np.cos(phi), np.sin(phi)
+    plane = plane @ np.stack([cos, -sin, sin, cos], axis=1).reshape(k, 2, 2)
+    b2 = np.swapaxes(plane, 1, 2) @ b @ plane
+    flip = (b2[:, 0, 0] - b2[:, 1, 1]) / 2.0 < 0
+    plane[flip] = plane[flip] @ np.array([[0.0, 1.0], [1.0, 0.0]])
+    tangent = np.stack([_complete_basis(x) for x in plane]) if n > 2 else plane
 
-    mu = float(np.sqrt(max(0.0, vals[0] + vals[1])) / 2.0)
-    canonical = extremal_pair(n, m, mu, rotation=tangent) if mu > 0 else np.zeros_like(t)
-    recon = rotate_tuple(canonical, q.T)
-    match_residual = float(np.linalg.norm(t - recon) / np.sqrt(total))
+    mu = vals[:, 0] + vals[:, 1]
+    mu = np.sqrt(np.where(mu > 0.0, mu, 0.0)) / 2.0
+    pair = np.zeros((k, 2, n, n))
+    pair[:, 0, 0, 1] = pair[:, 0, 1, 0] = pair[:, 1, 0, 0] = mu
+    pair[:, 1, 1, 1] = -mu
+    canonical = np.zeros_like(t)
+    canonical[:, :2] = tangent[:, None] @ pair @ np.swapaxes(tangent, 1, 2)[:, None]
+    recon = np.einsum("ksr,ksij->krij", q, canonical)
+    diff = (t - recon).reshape(k, -1)
+    match_residual = np.sqrt(np.vecdot(diff, diff)) / np.sqrt(total)
 
-    weight = q[0] ** 2 + q[1] ** 2
-    top = np.argsort(weight)[::-1][:2]
-    active = (int(min(top)), int(max(top)))
-    return ExtremalStructure(active=active, mu=mu, normal_rotation=q,
-                             tangent_rotation=tangent, offplane_frac=offplane_frac,
-                             match_residual=match_residual)
+    top = np.argsort(q[:, 0] ** 2 + q[:, 1] ** 2)[:, :-3:-1]
+    return [ExtremalStructure(active=(int(min(i)), int(max(i))), mu=float(mu[j]),
+                              normal_rotation=q[j], tangent_rotation=tangent[j],
+                              offplane_frac=float(offplane_frac[j]),
+                              match_residual=float(match_residual[j]))
+            for j, i in enumerate(top)]
 
 
 def maximize_ratio(n: int, m: int, seed=0, starts: int = 32,

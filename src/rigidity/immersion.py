@@ -309,12 +309,11 @@ def _sample(spec: ImmersionSpec, points: np.ndarray) -> list[PointSample]:
     pos, jac, hess = _jets(spec, points)
     white, tangent, normal = _frames(spec, points, pos, jac)
     hess_frame = np.einsum("kamn,kmi,knj->kaij", hess, white, white)
-    forms = np.einsum("kpa,kaij->kpij", normal, hess_frame)  # FundamentalData symmetrizes
-    c = spec.ambient.curvature
+    forms = np.einsum("kpa,kaij->kpij", normal, hess_frame)  # validated and symmetrized once
+    datas = FundamentalData.stack(spec.n, spec.p, spec.ambient.curvature, forms)
     return [PointSample(params=points[k], position=pos[k], tangent=tangent[k],
-                        normal=normal[k],
-                        data=FundamentalData(n=spec.n, p=spec.p, c=c, forms=forms[k]))
-            for k in range(len(points))]
+                        normal=normal[k], data=data)
+            for k, data in enumerate(datas)]
 
 
 def second_fundamental_form(spec: ImmersionSpec, u) -> PointSample:

@@ -99,13 +99,15 @@ def commutes(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def signfix(v: np.ndarray) -> np.ndarray:
-    """Flip signs so each column of v (v itself, if 1-d) has its largest-|.| entry positive.
+    """Flip signs so each column of v (v itself, if 1-d; each matrix's columns, for an
+    (..., n, k) stack) has its largest-|.| entry positive.
 
     Ties go to the first entry; a zero column is left as is.  This fixes the
     sign freedom of eigenvectors and frame vectors deterministically.
     """
     v = np.asarray(v, dtype=float)
-    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)
+    axis = 0 if v.ndim == 1 else -2
+    lead = np.take_along_axis(v, np.expand_dims(np.argmax(np.abs(v), axis=axis), axis), axis)
     return np.where(lead < 0, -v, v)
 
 

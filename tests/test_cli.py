@@ -189,8 +189,13 @@ class TestCheckCommand:
             calls.append(data)
             return curvature.kmin_bracket(data, *args, **kwargs)
 
+        def counted_surfaces(forms, c):  # the n = 2 brackets of one array pass
+            calls.extend(forms)
+            return curvature.surface_brackets(forms, c)
+
         for module in (cli, pinching):
             monkeypatch.setattr(module, "kmin_bracket", counted)
+        monkeypatch.setattr(cli, "surface_brackets", counted_surfaces)
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)),
                                      data_to_dict(totally_geodesic(3, 2, 1.0))]))
@@ -225,6 +230,31 @@ class TestParseValidation:
         code, out, err = run(capsys, "check", str(batch), "--no-timestamp")
         assert code == 4 and out == ""
         assert f"{batch}#1: " in err and field in err
+
+    def test_first_bad_record_in_file_order(self, capsys, tmp_path):
+        # records #1 and #3 share a stack with #0, #2 has a bad field: validation of the
+        # stack must not hide #1 behind #2, nor name any record but the first bad one
+        good = data_to_dict(veronese(1.0, 0.0))
+        skew = data_to_dict(veronese(1.0, 0.0))
+        skew["H_matrices"][1][0][1] += 1e-3
+        bad_field = dict(good, n=True)
+        bad_shape = dict(good, H_matrices=[[[1.0]]])   # same stack key as good
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps(skew))
+        _, _, alone = run(capsys, "check", str(single), "--no-timestamp")
+        for order, first, message in (
+                ([good, skew, bad_field, good], 1, None),
+                ([good, bad_field, skew], 1, "fields 'n' and 'p' must be integers"),
+                ([good, good, skew, skew], 2, None),
+                ([good, bad_shape, skew], 1, "forms must have shape (2, 2, 2), got (1, 1, 1)")):
+            batch = tmp_path / "batch.json"
+            batch.write_text(json.dumps(order))
+            code, out, err = run(capsys, "check", str(batch), "--no-timestamp")
+            assert code == 4 and out == ""
+            if message is None:
+                assert err == alone.replace(str(single), f"{batch}#{first}")
+            else:
+                assert err == f"error: {batch}#{first}: {message}\n"
 
     def test_reports_never_hold_nan(self):
         with pytest.raises(ValueError):
@@ -435,6 +465,59 @@ class TestSharedKernelsInCli:
         tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
         loop = max(ddvv_evaluate(t).ratio for t in tuples)
         assert json.loads(out)["max_ratio"] == loop
+
+
+class TestArrayPass:
+    """`check` evaluates a file's records as shape groups; nothing in a report may show it."""
+
+    RECORDS = [
+        veronese(1.0, 0.0),                                                    # n = 2, p = 2
+        totally_geodesic(3, 2, 1.0),                                           # n = 3
+        FundamentalData(n=2, p=1, c=1.0, forms=[np.diag([0.4, -0.4])]),        # n = 2, p = 1
+        FundamentalData(n=2, p=2, c=0.5, forms=veronese(1.0, 0.0).forms),     # same shape, c
+        INDET_DATA,                                                            # n = 5
+        veronese(1.0, 0.6),                                                    # mean-aligned
+        FundamentalData(n=2, p=3, c=1.0, forms=random_tuple(2, 3, np.random.default_rng(9),
+                                                            scale=0.3, traceless=True)),
+        FundamentalData(n=2, p=1, c=1.0, forms=[np.eye(2)]),                   # thm1 error
+        FAILS_DATA,                                                            # n = 2, p = 2
+        totally_geodesic(3, 2, -0.0),                                          # c = -0.0
+        totally_geodesic(3, 2, 0.0),
+    ]
+
+    @pytest.mark.parametrize("jobs", ["1", "3"])
+    def test_interleaved_file_equals_one_file_per_record(self, capsys, tmp_path, jobs):
+        flags = ("--budget", "4", "--no-timestamp", "--jobs", jobs)
+        expected, errors, worst = [], [], 0
+        for i, data in enumerate(self.RECORDS):
+            single = write_data(tmp_path / f"single{i}.json", data)
+            code, out, err = run(capsys, "check", single, *flags)
+            record = json.loads(out)["records"][0]
+            record["input"] = f"{tmp_path / 'batch.json'}#{i}"
+            expected.append(record)
+            errors.append(err.replace(single, record["input"]))
+            worst = max(worst, code)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(d) for d in self.RECORDS]))
+        code, out, err = run(capsys, "check", str(batch), *flags)
+        assert out == json.dumps({"records": expected}, indent=2) + "\n"
+        assert err == "".join(errors) and err.count("error: ") == 4
+        assert "#9: thm1 is stated in a unit sphere, got c = -0.0\n" in err  # not grouped with #10
+        assert code == worst == 3
+
+    def test_ddvv_input_equals_one_file_per_record(self, capsys, tmp_path):
+        expected = []
+        for i, data in enumerate(self.RECORDS):
+            single = write_data(tmp_path / f"single{i}.json", data)
+            _, out, _ = run(capsys, "ddvv", "--input", single, "--no-timestamp")
+            expected.append(dict(json.loads(out)["reports"][0],
+                                 input=f"{tmp_path / 'batch.json'}#{i}"))
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(d) for d in self.RECORDS]))
+        code, out, _ = run(capsys, "ddvv", "--input", str(batch), "--no-timestamp")
+        assert code == 0
+        assert out == json.dumps({"mode": "input", "reports": expected, "timestamp": None},
+                                 indent=2) + "\n"
 
 
 class TestSearchArguments:

@@ -12,17 +12,21 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import ddvv_reference
 from conftest import random_orthogonal
+from rigidity import ddvv
 from rigidity.ddvv import (
     commutator_energy,
     detect_equality,
     energy_gradient,
     evaluate,
+    evaluate_stack,
     extremal_pair,
     maximize_ratio,
     ratio_terms,
 )
 from rigidity.cli import main
+from rigidity.immersion import builtin, sample_grid
 from rigidity.models import veronese
 from rigidity.symmat import commutator, frob_norm_sq, random_tuple, rotate_tuple
 
@@ -146,6 +150,69 @@ class TestEvaluate:
         npt.assert_allclose(rep.rhs, 16.0 / 9.0, rtol=1e-13)
         assert rep.equality
         npt.assert_allclose(rep.extremal_structure.mu, 1.0 / np.sqrt(3.0), rtol=1e-10)
+
+
+def _bits(report) -> list:
+    """Every field of a report, floats by repr (so -0.0 and 0.0 differ), arrays as lists."""
+    s = report.extremal_structure
+    head = [repr(report.lhs), repr(report.rhs), repr(report.ratio), report.equality]
+    if s is None:
+        return head + [None]
+    return head + [s.active, repr(s.mu), s.normal_rotation.tolist(),
+                   np.signbit(s.normal_rotation).tolist(), s.tangent_rotation.tolist(),
+                   np.signbit(s.tangent_rotation).tolist(), repr(float(s.offplane_frac)),
+                   repr(s.match_residual)]
+
+
+def _reference_bits(t) -> list:
+    lhs, rhs, ratio, equality, s = ddvv_reference.evaluate(t)
+    head = [repr(lhs), repr(rhs), repr(ratio), equality]
+    if s is None:
+        return head + [None]
+    active, mu, q, tangent, offplane_frac, residual = s
+    return head + [active, repr(mu), q.tolist(), np.signbit(q).tolist(), tangent.tolist(),
+                   np.signbit(tangent).tolist(), repr(float(offplane_frac)), repr(residual)]
+
+
+class TestEvaluateStack:
+    """The stacked kernel behind `check` and `ddvv --input`, against one tuple at a time."""
+
+    def test_veronese_grid_bit_for_bit(self):
+        stack = np.stack([s.data.forms for s in sample_grid(builtin("veronese"), 12)])
+        reports = evaluate_stack(stack)
+        assert len(reports) == 144 and all(r.equality for r in reports)
+        for t, report in zip(stack, reports):
+            assert _bits(report) == _bits(evaluate(t)) == _reference_bits(t)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rotated_equality_tuples_bit_for_bit(self, n):
+        # n > 2 completes the tangent basis; mixed noise levels put some tuples
+        # off the gate, so the stack splits into equality and plain reports
+        rng = np.random.default_rng(80 + n)
+        tuples = []
+        for k in range(40):
+            slots = tuple(int(i) for i in rng.choice(3, 2, replace=False))
+            t = extremal_pair(n, 3, rng.uniform(0.2, 2.0), rotation=random_orthogonal(n, rng),
+                              slots=slots)
+            t = rotate_tuple(t, random_orthogonal(3, rng))
+            noise = random_tuple(n, 3, rng) * [0.0, 1e-10, 1e-3][k % 3]
+            tuples.append((t + noise + np.swapaxes(t + noise, 1, 2)) / 2.0)
+        stack = np.stack(tuples)
+        reports = evaluate_stack(stack)
+        assert 0 < sum(r.equality for r in reports) < len(reports)
+        for t, report in zip(stack, reports):
+            assert _bits(report) == _bits(evaluate(t)) == _reference_bits(t)
+
+    def test_energy_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return commutator_energy(t)
+
+        monkeypatch.setattr(ddvv, "commutator_energy", counted)
+        assert evaluate(veronese(1.0, 0.0).forms).equality
+        assert len(calls) == 1
 
 
 class TestExtremalPair:

@@ -22,7 +22,7 @@ import numpy.testing as npt
 import pytest
 
 import immersion_reference as ref
-from rigidity import immersion
+from rigidity import curvature, immersion
 from rigidity.curvature import PlaneSpec, invariants, riemann, sectional
 from rigidity.immersion import (
     BUILTINS,
@@ -36,6 +36,7 @@ from rigidity.immersion import (
     sample_grid,
     second_fundamental_form,
 )
+from rigidity.symmat import symmetrize
 
 SADDLE = builtin("graph")
 TORUS = builtin("clifford")
@@ -257,6 +258,17 @@ class TestBatchedKernel:
                              bounds=TORUS.bounds)
         assert sample_grid(spec, 5) == sample_grid(TORUS, 5)
         assert len(calls) == 1
+
+    def test_forms_validated_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return symmetrize(a)
+
+        monkeypatch.setattr(curvature, "symmetrize", counted)
+        sample_grid(SPHERE_QUAD, 12)
+        assert calls == [(144, 2, 2, 2)]   # one stacked check, not one per point
 
     @pytest.mark.parametrize("rejecting", [
         _math_clifford,
