@@ -8,65 +8,54 @@ thresholds.  Closed-form model data and a finite-difference pipeline for
 explicit immersions feed the same machinery.
 """
 
-from .curvature import (
-    CurvatureTensor,
-    FundamentalData,
-    PlaneSpec,
-    ScalarInvariants,
-    align_mean_frame,
-    gram_diagonalize,
-    invariants,
-    kmin_bracket,
-    normal_curvature,
-    riemann,
-    sectional,
-)
-from .ddvv import DdvvReport, detect_equality, extremal_pair, maximize_ratio
-from .immersion import ImmersionSpec, PointSample, builtin, second_fundamental_form
-from .models import (
-    ModelSpec,
-    build_model,
-    product_of_spheres,
-    pseudo_umbilical_extend,
-    totally_geodesic,
-    umbilical_sphere,
-    veronese,
-)
-from .pinching import HypothesisError, PinchVerdict, verdict
-from .simons import ContractionReport, contraction_report, laplacian_bound, optimal_parameter
+from importlib import import_module
 
-__all__ = [
-    "ContractionReport",
-    "CurvatureTensor",
-    "DdvvReport",
-    "FundamentalData",
-    "HypothesisError",
-    "ImmersionSpec",
-    "ModelSpec",
-    "PinchVerdict",
-    "PlaneSpec",
-    "PointSample",
-    "ScalarInvariants",
-    "align_mean_frame",
-    "build_model",
-    "builtin",
-    "contraction_report",
-    "detect_equality",
-    "extremal_pair",
-    "gram_diagonalize",
-    "invariants",
-    "kmin_bracket",
-    "laplacian_bound",
-    "maximize_ratio",
-    "normal_curvature",
-    "optimal_parameter",
-    "product_of_spheres",
-    "pseudo_umbilical_extend",
-    "riemann",
-    "second_fundamental_form",
-    "sectional",
-    "totally_geodesic",
-    "umbilical_sphere",
-    "verdict",
-    "veronese",
-]
+# name -> the module that defines it.  A name is imported on first access (PEP 562),
+# so a process pays only for the modules it uses.
+_LAZY = {
+    "ContractionReport": "simons",
+    "CurvatureTensor": "curvature",
+    "DdvvReport": "ddvv",
+    "FundamentalData": "curvature",
+    "HypothesisError": "pinching",
+    "ImmersionSpec": "immersion",
+    "ModelSpec": "models",
+    "PinchVerdict": "pinching",
+    "PlaneSpec": "curvature",
+    "PointSample": "immersion",
+    "ScalarInvariants": "curvature",
+    "align_mean_frame": "curvature",
+    "build_model": "models",
+    "builtin": "immersion",
+    "contraction_report": "simons",
+    "detect_equality": "ddvv",
+    "extremal_pair": "ddvv",
+    "gram_diagonalize": "curvature",
+    "invariants": "curvature",
+    "kmin_bracket": "curvature",
+    "laplacian_bound": "simons",
+    "maximize_ratio": "ddvv",
+    "normal_curvature": "curvature",
+    "optimal_parameter": "simons",
+    "product_of_spheres": "models",
+    "pseudo_umbilical_extend": "models",
+    "riemann": "curvature",
+    "second_fundamental_form": "immersion",
+    "sectional": "curvature",
+    "totally_geodesic": "models",
+    "umbilical_sphere": "models",
+    "verdict": "pinching",
+    "veronese": "models",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

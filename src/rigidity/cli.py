@@ -14,17 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import ddvv as ddvv_mod
-from .curvature import Bracket, FundamentalData, invariants_stack, kmin_bracket, surface_brackets
-from .immersion import BUILTINS, PointSample, builtin, sample_grid
-from .models import MODEL_KINDS, ModelSpec, build_model
-from .pinching import THEOREMS, HypothesisError, PinchVerdict, severity, verdict
+# Each subcommand imports the package modules it runs, so `ddvv --random` loads
+# ddvv and symmat, not all eight.
+if TYPE_CHECKING:
+    from .curvature import Bracket, FundamentalData
+    from .immersion import PointSample
+    from .pinching import PinchVerdict
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -58,6 +61,8 @@ def data_from_dict(obj) -> FundamentalData:
 def _data_from_dicts(objs) -> list[FundamentalData]:
     """data_from_dict of every payload, records sharing n, p, c and mean_index as one stack
     (repr(c) keeps 0.0 and -0.0 apart)."""
+    from .curvature import FundamentalData
+
     def stack(group):
         n, p, c, _, mean_index = group[0]
         return FundamentalData.stack(n, p, c, np.stack([f[3] for f in group]), mean_index)
@@ -247,14 +252,20 @@ def _auto_theorems(data: FundamentalData) -> list[str]:
 def _array_pass(datas: list[FundamentalData]) -> list[tuple]:
     """(invariants, bracket, DDVV report) of records sharing n, p, c and mean_index, from
     one stack; the bracket is None at n >= 3, where the plane search runs per record."""
+    from .curvature import invariants_stack, surface_brackets
+    from .ddvv import evaluate_stack
+
     first, forms = datas[0], np.stack([data.forms for data in datas])
     brackets = surface_brackets(forms, first.c) if first.n == 2 else [None] * len(datas)
     return list(zip(invariants_stack(forms, first.c, first.mean_index), brackets,
-                    ddvv_mod.evaluate_stack(forms)))
+                    evaluate_stack(forms)))
 
 
 def _check_one(label: str, data: FundamentalData, args, stamp, staged) -> ReportRecord:
     """The per-record stage of `check`, from the record's row of its array pass."""
+    from .curvature import kmin_bracket
+    from .pinching import severity, verdict
+
     t0 = time.perf_counter()
     inv, bracket, dd = staged
     if bracket is None:
@@ -304,7 +315,7 @@ def cmd_check(args) -> int:
         label, data = item
         try:
             return _check_one(label, data, args, stamp, pre)
-        except ValueError as exc:  # HypothesisError included
+        except ValueError as exc:  # pinching.HypothesisError included
             return ErrorRecord(input=label, error=str(exc))
 
     if args.jobs > 1 and len(items) > 1:
@@ -320,47 +331,107 @@ def cmd_check(args) -> int:
     return max((r.exit_hint for r in records), default=EXIT_OK)
 
 
+SWEEP_BATCH = 2048   # tuples per batch of the --random sweep
+
+
+def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tuple[float, int]:
+    """Max DDVV ratio and violation count of `trials` (m, n, n) tuples drawn from rng.
+
+    A helper thread draws batch k + 1 into one of the two draw buffers, buffers[:2], while
+    this thread symmetrizes batch k into buffers[2] and evaluates it; both spend their
+    time in numpy loops that release the GIL.  Batches are drawn and consumed in order,
+    so the stream, and every bit of the result, is a serial sweep's.  The helper calls
+    numpy only, its exception re-raises here, and it is joined before this returns.
+    """
+    from .ddvv import ratio_terms
+
+    draws, tuples = buffers[:2], buffers[2]
+    starts = range(0, trials, SWEEP_BATCH)
+    free, filled = threading.Semaphore(2), threading.Semaphore(0)   # draw buffers in each state
+    stop, failure = threading.Event(), []
+
+    def draw():
+        try:
+            for k, done in enumerate(starts):
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=draws[k % 2, : min(SWEEP_BATCH, trials - done) * m])
+                filled.release()
+        except BaseException as exc:  # handed to the sweep, which raises it
+            failure.append(exc)
+            filled.release()
+
+    helper = threading.Thread(target=draw, name="ddvv-draw")
+    helper.start()
+    best, violations = 0.0, 0
+    try:
+        for k, done in enumerate(starts):
+            batch = min(SWEEP_BATCH, trials - done)
+            filled.acquire()
+            if failure:
+                raise failure[0]
+            g = draws[k % 2, : batch * m]   # the bits of normal(size=)
+            t = np.add(g, np.swapaxes(g, 1, 2), out=tuples[: batch * m])
+            free.release()
+            t /= 2.0
+            ratio = ratio_terms(t.reshape(batch, m, n, n))[2]
+            best = max(best, float(np.max(ratio)))
+            violations += int(np.sum(ratio > 1.0 + 1e-12))
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+    return best, violations
+
+
+def _allocate(flag: str, shape: tuple) -> np.ndarray | None:
+    """np.empty(shape), or None after one error line when numpy refuses the size the flag's
+    arguments ask for: past the index range, or more than the system maps."""
+    try:
+        return np.empty(shape)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {flag}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_ddvv(args) -> int:
     if args.random:
         n, m, trials = args.random
         if n < 1 or m < 1 or trials < 1:
             print("error: --random needs positive n, m, trials", file=sys.stderr)
             return EXIT_USAGE
-        rng = np.random.default_rng(args.seed)
-        best = 0.0
-        violations = 0
-        draws, tuples = np.empty((2, min(4096, trials) * m, n, n))  # reused batch buffers
-        for done in range(0, trials, 4096):
-            batch = min(4096, trials - done)
-            g = rng.standard_normal(out=draws[: batch * m])  # the bits of normal(size=)
-            t = np.add(g, np.swapaxes(g, 1, 2), out=tuples[: batch * m])
-            t /= 2.0
-            ratio = ddvv_mod.ratio_terms(t.reshape(batch, m, n, n))[2]
-            best = max(best, float(np.max(ratio)))
-            violations += int(np.sum(ratio > 1.0 + 1e-12))
+        buffers = _allocate("--random", (3, min(SWEEP_BATCH, trials) * m, n, n))
+        if buffers is None:
+            return EXIT_USAGE
+        best, violations = _random_sweep(np.random.default_rng(args.seed), buffers,
+                                         n, m, trials)
         _dump({"mode": "random", "n": n, "m": m, "trials": trials,
                "seed": args.seed, "max_ratio": best, "violations": violations,
                "timestamp": _timestamp(args)}, args.out)
         return EXIT_OK if violations == 0 else EXIT_FAILS
     if args.maximize:
+        from .ddvv import detect_equality, maximize_ratio
+
         n, m, starts = args.maximize
         if n < 1 or m < 1 or starts < 1 or args.iters < 0:
             print("error: --maximize needs positive n, m, starts; --iters >= 0", file=sys.stderr)
             return EXIT_USAGE
-        result = ddvv_mod.maximize_ratio(n, m, seed=args.seed, starts=starts,
-                                         iters=args.iters)
-        structure = ddvv_mod.detect_equality(result.tuple, tol=1e-6) \
-            if result.ratio > 0 else None
+        if _allocate("--maximize", (starts, m, n, n)) is None:  # maximize_ratio's start stack
+            return EXIT_USAGE
+        result = maximize_ratio(n, m, seed=args.seed, starts=starts, iters=args.iters)
+        structure = detect_equality(result.tuple, tol=1e-6) if result.ratio > 0 else None
         _dump({"mode": "maximize", "n": n, "m": m, "starts": starts,
                "iters": args.iters, "seed": args.seed, "best_ratio": result.ratio,
                "iterations": len(result.history),
                "extremal_structure": extremal_to_dict(structure),
                "timestamp": _timestamp(args)}, args.out)
         return EXIT_OK
-    # --input
+    from .ddvv import evaluate_stack
+
     items = load_inputs(args.input)
     reports = _by_group([data for _, data in items], lambda d: d.forms.shape,
-                        lambda ds: ddvv_mod.evaluate_stack(np.stack([d.forms for d in ds])))
+                        lambda ds: evaluate_stack(np.stack([d.forms for d in ds])))
     reports = [{"input": label, **ddvv_to_dict(r)} for (label, _), r in zip(items, reports)]
     _dump({"mode": "input", "reports": reports, "timestamp": _timestamp(args)},
           args.out)
@@ -368,6 +439,8 @@ def cmd_ddvv(args) -> int:
 
 
 def cmd_model(args) -> int:
+    from .models import ModelSpec, build_model
+
     spec = ModelSpec(kind=args.kind, n=args.n, p=args.p, k=args.k,
                      c=args.c, H=args.H)
     try:
@@ -380,6 +453,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_immersion(args) -> int:
+    from .immersion import builtin, sample_grid
+
     if args.grid < 1:
         print("error: --grid must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -434,12 +509,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="rigidity",
-                     description="Curvature pinching toolkit for submanifold data.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _check_arguments(chk) -> None:
+    from .pinching import THEOREMS
 
-    chk = sub.add_parser("check", help="verify pinching verdicts for data files")
     chk.add_argument("inputs", nargs="+", metavar="INPUT",
                      help="JSON files: FundamentalData, lists, or immersion samples")
     chk.add_argument("--theorem", action="append",
@@ -457,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="omit timestamps/timing for byte-identical output")
     chk.set_defaults(func=cmd_check)
 
-    ddv = sub.add_parser("ddvv", help="evaluate or maximize the commutator inequality")
+
+def _ddvv_arguments(ddv) -> None:
     mode = ddv.add_mutually_exclusive_group(required=True)
     mode.add_argument("--random", nargs=3, type=int, metavar=("N", "M", "TRIALS"),
                       help="max ratio over random symmetric tuples")
@@ -470,7 +543,10 @@ def build_parser() -> argparse.ArgumentParser:
     ddv.add_argument("--no-timestamp", action="store_true")
     ddv.set_defaults(func=cmd_ddvv)
 
-    mdl = sub.add_parser("model", help="emit closed-form model data as JSON")
+
+def _model_arguments(mdl) -> None:
+    from .models import MODEL_KINDS
+
     mdl.add_argument("kind", choices=list(MODEL_KINDS))
     mdl.add_argument("--n", type=int)
     mdl.add_argument("--p", type=int)
@@ -480,32 +556,55 @@ def build_parser() -> argparse.ArgumentParser:
     mdl.add_argument("--out")
     mdl.set_defaults(func=cmd_model)
 
-    imm = sub.add_parser("immersion", help="sample a builtin immersion on a grid")
+
+def _immersion_arguments(imm) -> None:
+    from .immersion import BUILTINS
+
     imm.add_argument("--builtin", required=True, choices=list(BUILTINS))
     imm.add_argument("--grid", type=int, default=4, help="grid cells per axis")
     imm.add_argument("--out")
     imm.set_defaults(func=cmd_immersion)
 
-    pch = sub.add_parser("pinch", help="tabulate pinching thresholds as CSV")
+
+def _pinch_arguments(pch) -> None:
     pch.add_argument("--table", nargs=2, type=int, metavar=("PMAX", "NMAX"),
                      required=True)
     pch.add_argument("--out")
     pch.set_defaults(func=cmd_pinch)
 
+
+# name -> (help, the function that adds its arguments and imports what their choices need)
+SUBCOMMANDS = {
+    "check": ("verify pinching verdicts for data files", _check_arguments),
+    "ddvv": ("evaluate or maximize the commutator inequality", _ddvv_arguments),
+    "model": ("emit closed-form model data as JSON", _model_arguments),
+    "immersion": ("sample a builtin immersion on a grid", _immersion_arguments),
+    "pinch": ("tabulate pinching thresholds as CSV", _pinch_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `rigidity` parser.  Every subcommand is registered, so usage lines name all
+    five; given a command, only that one gets its arguments."""
+    parser = _Parser(prog="rigidity",
+                     description="Curvature pinching toolkit for submanifold data.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

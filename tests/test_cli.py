@@ -8,15 +8,22 @@ strips wall-clock fields.
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rigidity import cli, curvature, pinching
+from rigidity import cli, curvature, ddvv, pinching
 from rigidity.cli import _dump, data_from_dict, data_to_dict, main
 from rigidity.curvature import FundamentalData
 from rigidity.ddvv import evaluate as ddvv_evaluate
+from rigidity.ddvv import ratio_terms as ddvv_ratio_terms
 from rigidity.immersion import PointSample, builtin, sample_grid
 from rigidity.models import totally_geodesic, veronese
 from rigidity.pinching import (
@@ -184,18 +191,19 @@ class TestCheckCommand:
 
     def test_one_bracket_per_record(self, capsys, tmp_path, monkeypatch):
         calls = []
+        kmin_bracket, surface_brackets = curvature.kmin_bracket, curvature.surface_brackets
 
         def counted(data, *args, **kwargs):
             calls.append(data)
-            return curvature.kmin_bracket(data, *args, **kwargs)
+            return kmin_bracket(data, *args, **kwargs)
 
         def counted_surfaces(forms, c):  # the n = 2 brackets of one array pass
             calls.extend(forms)
-            return curvature.surface_brackets(forms, c)
+            return surface_brackets(forms, c)
 
-        for module in (cli, pinching):
+        for module in (curvature, pinching):
             monkeypatch.setattr(module, "kmin_bracket", counted)
-        monkeypatch.setattr(cli, "surface_brackets", counted_surfaces)
+        monkeypatch.setattr(curvature, "surface_brackets", counted_surfaces)
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)),
                                      data_to_dict(totally_geodesic(3, 2, 1.0))]))
@@ -411,10 +419,45 @@ class TestUsageErrors:
         ("check", "x.json", "--theorem", "thm9"),
         ("ddvv",),
         ("pinch",),
+        ("ddvv", "--random", "2", "2", "5", "extra"),
+        ("model", "torus"),
+        ("immersion", "--builtin", "torus"),
     ])
     def test_exit_five(self, capsys, argv):
+        # main parses with one subcommand's arguments; the bytes are the full parser's
         assert main(list(argv)) == 5
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        assert exc.value.code == 5
+        assert capsys.readouterr().err == err
+
+
+class TestImportSets:
+    """A subcommand imports only the package modules it runs (a fresh process each)."""
+
+    @pytest.mark.parametrize("argv, runs", [
+        (["ddvv", "--random", "3", "2", "10"], {"ddvv", "symmat"}),
+        (["ddvv", "--maximize", "2", "2", "2", "--iters", "5"], {"ddvv", "symmat"}),
+        (["check", "DATA"], {"curvature", "ddvv", "pinching", "symmat"}),
+        (["immersion", "--builtin", "graph", "--grid", "1"], {"curvature", "immersion", "symmat"}),
+        (["pinch", "--table", "1", "2"], {"curvature", "ddvv", "pinching", "symmat"}),
+    ])
+    def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, runs):
+        argv = [write_data(tmp_path / "v.json", veronese(1.0, 0.0)) if a == "DATA" else a
+                for a in argv] + ["--out", str(tmp_path / "out")]
+        script = ("import json, sys\nfrom rigidity import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(json.dumps([code, sorted(m for m in sys.modules"
+                  " if m.split('.')[0] == 'rigidity')]))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        code, modules = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert set(modules) - {"rigidity", "rigidity.cli"} <= {f"rigidity.{m}" for m in runs}
 
 
 class TestSharedKernelsInCli:
@@ -454,17 +497,99 @@ class TestSharedKernelsInCli:
         records = json.loads(out)["records"]
         assert records[0]["status"] == "fails" and "error" in records[1]
 
-    # On these seeds an einsum reduction of the energy differs from the shared
-    # kernel's pairwise sum in the last bit, so a second copy in the CLI shows.
-    @pytest.mark.parametrize("seed", [0, 2, 3])
-    def test_random_sweep_uses_the_shared_energy(self, capsys, seed):
-        code, out, _ = run(capsys, "ddvv", "--random", "3", "2", "50", "--seed", str(seed),
-                           "--no-timestamp")
+    # On seeds 0, 2 and 3 an einsum reduction of the energy differs from the shared
+    # kernel's pairwise sum in the last bit, so a second copy in the CLI shows.  The
+    # trial counts around cli.SWEEP_BATCH hold the overlapped batches and the tail
+    # batch to one serial draw.
+    @pytest.mark.parametrize("seed, n, m, trials", [
+        (0, 3, 2, 50), (2, 3, 2, 50), (3, 3, 2, 50),
+        (0, 3, 2, 1), (4, 3, 2, 2047), (5, 3, 2, 2048), (6, 3, 2, 2049), (7, 3, 3, 5000),
+        (8, 1, 3, 300), (9, 3, 1, 300),
+    ], ids=["0", "2", "3", "trials1", "trials2047", "trials2048", "trials2049", "trials5000",
+            "n1", "m1"])
+    def test_random_sweep_uses_the_shared_energy(self, capsys, seed, n, m, trials):
+        code, out, _ = run(capsys, "ddvv", "--random", str(n), str(m), str(trials),
+                           "--seed", str(seed), "--no-timestamp")
         assert code == 0
-        g = np.random.default_rng(seed).normal(size=(50, 2, 3, 3))
+        g = np.random.default_rng(seed).normal(size=(trials, m, n, n))
         tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
         loop = max(ddvv_evaluate(t).ratio for t in tuples)
         assert json.loads(out)["max_ratio"] == loop
+
+    def test_random_sweep_hands_every_batch_over_once(self, capsys, monkeypatch):
+        # a slow evaluation and fast thread switching: a draw buffer reused too early
+        # repeats or loses a batch
+        seen = []
+
+        def recorded(t):
+            seen.append(t.copy())
+            time.sleep(0.005)
+            return ddvv_ratio_terms(t)
+
+        monkeypatch.setattr(ddvv, "ratio_terms", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, out, _ = run(capsys, "ddvv", "--random", "2", "2", "10000", "--seed", "11",
+                               "--no-timestamp")
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        g = np.random.default_rng(11).normal(size=(10000, 2, 2, 2))
+        tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
+        assert [len(t) for t in seen] == [2048] * 4 + [1808]
+        npt.assert_array_equal(np.concatenate(seen), tuples)
+        assert json.loads(out)["max_ratio"] == np.max(ddvv_ratio_terms(tuples)[2])
+
+    @pytest.mark.parametrize("stage", ["draw", "evaluate"])
+    def test_random_sweep_failure_reaches_the_caller(self, capsys, monkeypatch, stage):
+        # the helper thread's failure re-raises, and the helper is gone whichever side fails
+        default_rng = np.random.default_rng
+
+        class FailingSecondDraw:
+            def __init__(self, seed):
+                self.rng, self.calls = default_rng(seed), 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("draw failed")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def failing(t):
+            raise RuntimeError("evaluate failed")
+
+        if stage == "draw":
+            monkeypatch.setattr(np.random, "default_rng", FailingSecondDraw)
+        else:
+            monkeypatch.setattr(ddvv, "ratio_terms", failing)
+        threads, failures = threading.active_count(), []
+
+        def command():
+            try:
+                main(["ddvv", "--random", "3", "2", "5000", "--no-timestamp"])
+            except RuntimeError as exc:
+                failures.append(str(exc))
+
+        runner = threading.Thread(target=command, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert failures == [f"{stage} failed"]
+        assert threading.active_count() == threads
+        assert capsys.readouterr().out == ""
+
+    # sizes whose arrays numpy refuses before touching memory: past the index range,
+    # or 6.94 EiB, more than any address space maps
+    @pytest.mark.parametrize("argv", [
+        ("--random", "1000000", "1000000", "10"),
+        ("--maximize", "1000000", "1000000", "10"),
+        ("--maximize", "1000000", "1000000", "1"),
+    ])
+    def test_absurd_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "ddvv", *argv, "--no-timestamp")
+        assert code == 5 and out == ""
+        assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
 
 
 class TestArrayPass:

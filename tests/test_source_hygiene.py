@@ -1,10 +1,12 @@
-"""Static checks on the package source, with the standard library's ast only.
+"""Static checks on the package source, with the standard library's ast.
 
 Every top-level import of src/rigidity/*.py is used somewhere in its module,
-and every `__all__` entry names something the module binds at top level.
+and every `__all__` entry names something the module binds at top level, or,
+through the package's lazy name table, something its defining module binds.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -13,12 +15,21 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rigidity"
 MODULES = sorted(SRC.glob("*.py"))
 
 
-def _all_entries(tree: ast.Module) -> list[str]:
+def _literal(tree: ast.Module, name: str):
+    """The literal a top-level `name = ...` assigns (`list(OTHER)` lists OTHER's), or None."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return list(ast.literal_eval(node.value))
-    return []
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            value = node.value
+            if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id == "list" and isinstance(value.args[0], ast.Name)):
+                return list(_literal(tree, value.args[0].id))
+            return ast.literal_eval(value)
+    return None
+
+
+def _all_entries(tree: ast.Module) -> list[str]:
+    return list(_literal(tree, "__all__") or [])
 
 
 def _imported(node) -> list[str]:
@@ -36,8 +47,7 @@ def unused_imports(source: str) -> list[str]:
             for name in _imported(node) if name not in used]
 
 
-def unresolved_all(source: str) -> list[str]:
-    tree = ast.parse(source)
+def _bound(tree: ast.Module) -> set[str]:
     bound = set()
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -47,6 +57,17 @@ def unresolved_all(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return bound
+
+
+def unresolved_all(source: str) -> list[str]:
+    """`__all__` entries bound neither at top level nor, through the `_LAZY` name -> module
+    table, at the top level of that module of the package."""
+    tree = ast.parse(source)
+    bound = _bound(tree)
+    for name, module in (_literal(tree, "_LAZY") or {}).items():
+        if name in _bound(ast.parse((SRC / f"{module}.py").read_text())):
+            bound.add(name)
     return [name for name in _all_entries(tree) if name not in bound]
 
 
@@ -67,3 +88,15 @@ def test_checks_catch_what_they_claim():
               "def f(x: np.ndarray) -> int:\n    return b(x)\n")
     assert unused_imports(source) == ["os"]
     assert unresolved_all(source) == ["gone"]
+    lazy = ("_LAZY = {'sgn': 'symmat', 'nowhere': 'symmat', 'c': 'symmat'}\n"
+            "__all__ = list(_LAZY)\n")
+    assert unresolved_all(lazy) == ["nowhere", "c"]
+
+
+def test_lazy_names_are_the_module_objects():
+    import rigidity
+
+    assert set(rigidity.__all__) <= set(dir(rigidity))
+    for name in rigidity.__all__:
+        module = importlib.import_module(f"rigidity.{rigidity._LAZY[name]}")
+        assert getattr(rigidity, name) is getattr(module, name)
