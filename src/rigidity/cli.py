@@ -16,8 +16,8 @@ import json
 import sys
 import threading
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,7 +25,8 @@ import numpy as np
 # Each subcommand imports the package modules it runs, so `ddvv --random` loads
 # ddvv and symmat, not all eight.
 if TYPE_CHECKING:
-    from .curvature import Bracket, FundamentalData
+    from .curvature import Bracket, FundamentalData, ScalarInvariants
+    from .ddvv import DdvvReport
     from .immersion import PointSample
     from .pinching import PinchVerdict
 
@@ -119,7 +120,7 @@ def verdict_to_dict(v: PinchVerdict) -> dict:
     }
 
 
-def ddvv_to_dict(report) -> dict:
+def ddvv_to_dict(report: DdvvReport) -> dict:
     return {
         "lhs": report.lhs,
         "rhs": report.rhs,
@@ -152,45 +153,26 @@ def sample_to_dict(s: PointSample) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """One checked datum: invariants, bracket, inequality summary, verdicts."""
+def record_to_dict(label: str, data: FundamentalData, inv: ScalarInvariants, bracket: Bracket,
+                   dd: DdvvReport, verdicts: list[PinchVerdict], stamp: str | None,
+                   elapsed: float | None) -> dict:
+    """The `check` record of one datum: its array-pass row (invariants, DDVV report), its
+    bracket and its verdicts; status and exit_hint are the worst verdict's."""
+    from .pinching import severity
 
-    input: str
-    shape: dict
-    invariants: dict
-    kmin_bracket: dict
-    ddvv: dict
-    verdicts: list
-    status: str
-    exit_hint: int
-    timestamp: str | None
-    elapsed_s: float | None
-
-
-@dataclass(frozen=True)
-class ErrorRecord:
-    """A datum whose check raised a hypothesis or validation error."""
-
-    input: str
-    error: str
-    exit_hint: int = EXIT_HYPOTHESIS
-
-
-def record_to_dict(r: ReportRecord | ErrorRecord) -> dict:
-    if isinstance(r, ErrorRecord):
-        return {"input": r.input, "error": r.error}
+    worst = max(verdicts, key=lambda v: severity(v.status))
     return {
-        "input": r.input,
-        "shape": r.shape,
-        "invariants": r.invariants,
-        "kmin_bracket": r.kmin_bracket,
-        "ddvv": r.ddvv,
-        "verdicts": r.verdicts,
-        "status": r.status,
-        "exit_hint": r.exit_hint,
-        "timestamp": r.timestamp,
-        "elapsed_s": r.elapsed_s,
+        "input": label,
+        "shape": {"n": data.n, "p": data.p, "c": data.c, "mean_index": data.mean_index},
+        "invariants": {"S": inv.S, "H": inv.H, "S_H": inv.S_H, "S_I": inv.S_I,
+                       "R_scal": inv.R_scal},
+        "kmin_bracket": bracket_to_dict(bracket),
+        "ddvv": ddvv_to_dict(dd),
+        "verdicts": [verdict_to_dict(v) for v in verdicts],
+        "status": worst.status,
+        "exit_hint": severity(worst.status),
+        "timestamp": stamp,
+        "elapsed_s": elapsed,
     }
 
 
@@ -239,14 +221,15 @@ class ParseFailure(Exception):
 
 # -- subcommands ----------------------------------------------------------
 
+def _usage(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _timestamp(args) -> str | None:
     if args.no_timestamp:
         return None
     return datetime.now(timezone.utc).isoformat()
-
-
-def _auto_theorems(data: FundamentalData) -> list[str]:
-    return ["thm2"] if data.mean_index is not None else ["thm1"]
 
 
 def _array_pass(datas: list[FundamentalData]) -> list[tuple]:
@@ -261,48 +244,36 @@ def _array_pass(datas: list[FundamentalData]) -> list[tuple]:
                     evaluate_stack(forms)))
 
 
-def _check_one(label: str, data: FundamentalData, args, stamp, staged) -> ReportRecord:
-    """The per-record stage of `check`, from the record's row of its array pass."""
+def _check_one(item: tuple[str, FundamentalData], staged: tuple, args, stamp) -> dict:
+    """The per-record stage of `check`, from the record's row of its array pass: the report
+    record, or {"input", "error"} when the plane search or a verdict raises."""
     from .curvature import kmin_bracket
-    from .pinching import severity, verdict
+    from .pinching import verdict
 
     t0 = time.perf_counter()
+    label, data = item
     inv, bracket, dd = staged
-    if bracket is None:
-        bracket = kmin_bracket(data, budget=args.budget, seed=args.seed)
-    theorems = args.theorem or ["auto"]
-    wanted: list[str] = []
-    for th in theorems:
-        wanted.extend(_auto_theorems(data) if th == "auto" else [th])
-    verdicts = [verdict(data, th, tol=args.tol, bracket=bracket) for th in wanted]
-    exit_hint = max((severity(v.status) for v in verdicts), default=EXIT_OK)
-    worst = max(verdicts, key=lambda v: severity(v.status), default=None)
+    auto = "thm2" if data.mean_index is not None else "thm1"
+    try:
+        if bracket is None:
+            bracket = kmin_bracket(data, budget=args.budget, seed=args.seed)
+        verdicts = [verdict(data, auto if th == "auto" else th, tol=args.tol, bracket=bracket)
+                    for th in args.theorem or ["auto"]]
+    except ValueError as exc:  # pinching.HypothesisError included
+        return {"input": label, "error": str(exc)}
     elapsed = None if args.no_timestamp else time.perf_counter() - t0
-    return ReportRecord(
-        input=label,
-        shape={"n": data.n, "p": data.p, "c": data.c, "mean_index": data.mean_index},
-        invariants={"S": inv.S, "H": inv.H, "S_H": inv.S_H, "S_I": inv.S_I,
-                    "R_scal": inv.R_scal},
-        kmin_bracket=bracket_to_dict(bracket),
-        ddvv=ddvv_to_dict(dd),
-        verdicts=[verdict_to_dict(v) for v in verdicts],
-        status=worst.status if worst else "strict",
-        exit_hint=exit_hint,
-        timestamp=stamp,
-        elapsed_s=elapsed,
-    )
+    return record_to_dict(label, data, inv, bracket, dd, verdicts, stamp, elapsed)
 
 
 def cmd_check(args) -> int:
     if args.budget < 0:
-        print("error: --budget must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--budget must be >= 0")
+    if args.seed < 0:
+        return _usage("--seed must be >= 0")
     if not (np.isfinite(args.tol) and args.tol >= 0):
-        print("error: --tol must be a finite number >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--tol must be a finite number >= 0")
     if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--jobs must be >= 1")
     items = [item for path in args.inputs for item in load_inputs(path)]
     stamp = _timestamp(args)
 
@@ -311,24 +282,17 @@ def cmd_check(args) -> int:
     staged = _by_group([data for _, data in items],
                        lambda d: (d.n, d.p, repr(d.c), d.mean_index), _array_pass)
 
-    def check(item, pre):
-        label, data = item
-        try:
-            return _check_one(label, data, args, stamp, pre)
-        except ValueError as exc:  # pinching.HypothesisError included
-            return ErrorRecord(input=label, error=str(exc))
-
     if args.jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(check, items, staged))
+            records = list(pool.map(_check_one, items, staged, repeat(args), repeat(stamp)))
     else:
-        records = [check(item, pre) for item, pre in zip(items, staged)]
+        records = list(map(_check_one, items, staged, repeat(args), repeat(stamp)))
     for r in records:
-        if isinstance(r, ErrorRecord):
-            print(f"error: {r.input}: {r.error}", file=sys.stderr)
-    _dump({"records": [record_to_dict(r) for r in records]}, args.out)
-    return max((r.exit_hint for r in records), default=EXIT_OK)
+        if "error" in r:
+            print(f"error: {r['input']}: {r['error']}", file=sys.stderr)
+    _dump({"records": records}, args.out)
+    return max((r.get("exit_hint", EXIT_HYPOTHESIS) for r in records), default=EXIT_OK)
 
 
 SWEEP_BATCH = 2048   # tuples per batch of the --random sweep
@@ -396,11 +360,12 @@ def _allocate(flag: str, shape: tuple) -> np.ndarray | None:
 
 
 def cmd_ddvv(args) -> int:
+    if args.seed < 0:
+        return _usage("--seed must be >= 0")
     if args.random:
         n, m, trials = args.random
         if n < 1 or m < 1 or trials < 1:
-            print("error: --random needs positive n, m, trials", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage("--random needs positive n, m, trials")
         buffers = _allocate("--random", (3, min(SWEEP_BATCH, trials) * m, n, n))
         if buffers is None:
             return EXIT_USAGE
@@ -415,8 +380,7 @@ def cmd_ddvv(args) -> int:
 
         n, m, starts = args.maximize
         if n < 1 or m < 1 or starts < 1 or args.iters < 0:
-            print("error: --maximize needs positive n, m, starts; --iters >= 0", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage("--maximize needs positive n, m, starts; --iters >= 0")
         if _allocate("--maximize", (starts, m, n, n)) is None:  # maximize_ratio's start stack
             return EXIT_USAGE
         result = maximize_ratio(n, m, seed=args.seed, starts=starts, iters=args.iters)
@@ -441,6 +405,11 @@ def cmd_ddvv(args) -> int:
 def cmd_model(args) -> int:
     from .models import ModelSpec, build_model
 
+    # the (p, n, n) forms stack the builder allocates, probed as ddvv's stacks are
+    shape = ({"totally-geodesic": args.p, "umbilical-sphere": args.p,
+              "product-of-spheres": 1}.get(args.kind), args.n, args.n)
+    if None not in shape and min(shape) > 0 and _allocate("--n", shape) is None:
+        return EXIT_USAGE
     spec = ModelSpec(kind=args.kind, n=args.n, p=args.p, k=args.k,
                      c=args.c, H=args.H)
     try:
@@ -456,8 +425,7 @@ def cmd_immersion(args) -> int:
     from .immersion import builtin, sample_grid
 
     if args.grid < 1:
-        print("error: --grid must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--grid must be >= 1")
     try:
         spec = builtin(args.builtin)
         samples = sample_grid(spec, args.grid)
@@ -473,8 +441,7 @@ def cmd_pinch(args) -> int:
                            threshold_thm2, threshold_yau)
     pmax, nmax = args.table
     if pmax < 1 or nmax < 2:
-        print("error: --table needs pmax >= 1 and nmax >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--table needs pmax >= 1 and nmax >= 2")
     lines = ["p,n,yau,itoh,thm1,thm2@c+H^2=1,generalized_i,generalized_ii"]
     for p in range(1, pmax + 1):
         for n in range(2, nmax + 1):

@@ -65,7 +65,16 @@ class FundamentalData:
         forms = np.asarray(forms, dtype=float)
         if forms.shape[1:] != (p, n, n):
             raise ValueError(f"forms must have shape ({p}, {n}, {n}), got {forms.shape[1:]}")
-        forms = symmetrize(forms)
+        if not np.isfinite(n * (n - 1) * c):  # the scalar curvature's ambient term
+            raise ValueError(f"n(n-1)c overflows, got n={n}, c={c}")
+        with np.errstate(over="ignore"):  # any overflow shows in S^2, which bounds every h*h
+            sym = symmetrize(forms)
+            budget = np.einsum("raij,raij->r", sym, sym) ** 2
+        bad = np.flatnonzero(~np.isfinite(budget))
+        if bad.size:
+            raise ValueError("forms too large: S^2 overflows "
+                             f"(max |h_ij| = {np.max(np.abs(forms[bad[0]])):.3e})")
+        forms = sym
         if mean_index is not None:
             if not 0 <= mean_index < p:
                 raise ValueError(f"mean_index {mean_index} out of range for p={p}")

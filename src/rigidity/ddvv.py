@@ -293,5 +293,5 @@ def maximize_ratio(n: int, m: int, seed=0, starts: int = 32,
         act = act[up & (fn - fa >= 1e-14 * np.maximum(1.0, fn))]
     order = np.argsort(np.concatenate(who), kind="stable")  # start-major history
     best = t[int(np.argmax(f))]
-    return MaximizeResult(tuple=best, ratio=evaluate(best).ratio,
+    return MaximizeResult(tuple=best, ratio=ratio_terms(best)[2],
                           history=np.concatenate(vals)[order].tolist())

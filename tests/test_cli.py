@@ -25,7 +25,7 @@ from rigidity.curvature import FundamentalData
 from rigidity.ddvv import evaluate as ddvv_evaluate
 from rigidity.ddvv import ratio_terms as ddvv_ratio_terms
 from rigidity.immersion import PointSample, builtin, sample_grid
-from rigidity.models import totally_geodesic, veronese
+from rigidity.models import product_of_spheres, totally_geodesic, veronese
 from rigidity.pinching import (
     threshold_generalized,
     threshold_itoh,
@@ -215,6 +215,65 @@ class TestCheckCommand:
         assert len(calls) == 2
 
 
+class TestReportSchema:
+    """The key order and the verdict summary of a `check` record, pinned."""
+
+    RECORD_KEYS = ["input", "shape", "invariants", "kmin_bracket", "ddvv", "verdicts",
+                   "status", "exit_hint", "timestamp", "elapsed_s"]
+    VERDICT_KEYS = ["theorem", "threshold", "kmin_bracket", "status", "label", "notes"]
+    MESSAGE = "thm1 requires minimal data: some tr(H_a) is nonzero beyond tolerance"
+
+    def check_batch(self, capsys, tmp_path, *theorems):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)),
+                                     data_to_dict(product_of_spheres(4, 2)),
+                                     data_to_dict(veronese(1.0, 0.6))]))
+        flags = [f for th in theorems for f in ("--theorem", th)]
+        code, out, err = run(capsys, "check", str(batch), *flags, "--no-timestamp")
+        return str(batch), code, json.loads(out)["records"], err
+
+    def test_key_order(self, capsys, tmp_path):
+        batch, code, records, err = self.check_batch(capsys, tmp_path, "thm1")
+        assert code == 3
+        for record in records[:2]:
+            assert list(record) == self.RECORD_KEYS
+            assert list(record["shape"]) == ["n", "p", "c", "mean_index"]
+            assert list(record["invariants"]) == ["S", "H", "S_H", "S_I", "R_scal"]
+            assert list(record["kmin_bracket"]) == ["lo", "hi"]
+            assert list(record["ddvv"]) == ["lhs", "rhs", "ratio", "equality",
+                                            "extremal_structure"]
+            for v in record["verdicts"]:
+                assert list(v) == self.VERDICT_KEYS
+                assert list(v["kmin_bracket"]) == ["lo", "hi"]
+        assert list(records[0]["ddvv"]["extremal_structure"]) == [
+            "active", "mu", "normal_rotation", "tangent_rotation", "offplane_frac",
+            "match_residual"]
+        assert records[1]["ddvv"]["extremal_structure"] is None
+        assert records[2] == {"input": f"{batch}#2", "error": self.MESSAGE}
+        assert err == f"error: {batch}#2: {self.MESSAGE}\n"
+
+    def test_verdict_summary(self, capsys, tmp_path):
+        _, code, records, _ = self.check_batch(capsys, tmp_path, "thm1", "itoh")
+        assert code == 3
+        summary = [(r["status"], r["exit_hint"],
+                    [(v["theorem"], v["status"], v["label"], v["notes"], v["threshold"])
+                     for v in r["verdicts"]]) for r in records[:2]]
+        notes = ["minimal", "ddvv-equality"]
+        assert summary == [
+            ("boundary", 0, [("thm1", "boundary", "Veronese", notes, 1 / 3),
+                             ("itoh", "boundary", "Veronese", notes, 1 / 3)]),
+            ("fails", 1, [("thm1", "boundary", "ProductOfSpheres", ["minimal"], 0.0),
+                          ("itoh", "fails", "Undetermined", ["minimal"], 0.4)]),
+        ]
+        assert "status" not in records[2] and "exit_hint" not in records[2]
+
+    def test_empty_file_reports_no_records(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert run(capsys, "check", str(path), "--no-timestamp") == (
+            0, '{\n  "records": []\n}\n', "")
+
+
 class TestParseValidation:
     """Bad field values exit 4 with the record's path#i label."""
 
@@ -268,6 +327,50 @@ class TestParseValidation:
         with pytest.raises(ValueError):
             _dump({"lo": float("nan")}, None)
 
+    # finite entries whose S^2 overflows, and n(n-1)c past the float range at n = 3
+    @pytest.mark.parametrize("command", [("check",), ("ddvv", "--input")], ids=["check", "ddvv"])
+    def test_overflowing_record_exits_four(self, capsys, tmp_path, command):
+        big = dict(data_to_dict(veronese(1.0, 0.0)), p=1,
+                   H_matrices=[np.diag([1e200, -1e200]).tolist()])
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)), big]))
+        huge_c = tmp_path / "c.json"
+        huge_c.write_text(json.dumps(dict(data_to_dict(totally_geodesic(3, 1, 1.0)), c=1e308)))
+        for path, label, message in (
+                (batch, f"{batch}#1", "forms too large: S^2 overflows (max |h_ij| = 1.000e+200)"),
+                (huge_c, str(huge_c), "n(n-1)c overflows, got n=3, c=1e+308")):
+            report = tmp_path / "report.json"
+            code, out, err = run(capsys, *command, str(path), "--out", str(report),
+                                 "--no-timestamp")
+            assert (code, out, err) == (4, "", f"error: {label}: {message}\n")
+            assert not report.exists()
+
+    @pytest.mark.parametrize("command", [("check", "--budget", "4"), ("ddvv", "--input")],
+                             ids=["check", "ddvv"])
+    def test_near_limit_report_is_finite(self, capsys, tmp_path, command):
+        # entries 1e70: S about 1e140, S^2 and the commutator energy about 1e280
+        rng = np.random.default_rng(5)
+        batch = tmp_path / "big.json"
+        batch.write_text(json.dumps([data_to_dict(FundamentalData(
+            n=n, p=2, c=1.0, forms=1e70 * random_tuple(n, 2, rng, traceless=True)))
+            for n in (2, 3, 4, 5)]))
+        code, out, err = run(capsys, *command, str(batch), "--no-timestamp")
+        assert code in (0, 1, 2) and err == ""
+        values = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    walk(item)
+            elif isinstance(node, float):
+                values.append(node)
+
+        walk(json.loads(out))
+        assert len(values) > 4 and all(np.isfinite(values))
+        assert max(map(abs, values)) > 1e200
+
 
 class TestDdvvCommand:
     def test_random_sweep_no_violations(self, capsys):
@@ -307,6 +410,19 @@ class TestDdvvCommand:
         npt.assert_allclose(rep["ratio"], 1.0, rtol=1e-12)
         assert rep["equality"] is True
 
+    def test_maximize_recovers_the_structure_once(self, capsys, monkeypatch):
+        calls = []
+        equality_structures = ddvv.equality_structures
+
+        def counted(t):
+            calls.append(len(t))
+            return equality_structures(t)
+
+        monkeypatch.setattr(ddvv, "equality_structures", counted)
+        code, out, _ = run(capsys, "ddvv", "--maximize", "3", "3", "32", "--no-timestamp")
+        assert code == 0 and json.loads(out)["extremal_structure"] is not None
+        assert calls == [1]
+
     def test_mode_flags_are_exclusive(self, capsys):
         code, _, _ = run(capsys, "ddvv", "--random", "2", "2", "5",
                          "--maximize", "2", "2", "5")
@@ -323,6 +439,18 @@ class TestModelCommand:
         code, _, err = run(capsys, "model", "product-of-spheres", "--n", "4")
         assert code == 3
         assert "error:" in err
+
+    # sizes numpy refuses before touching memory: 711 PiB, past the index range, 213 PiB
+    @pytest.mark.parametrize("argv", [
+        ("totally-geodesic", "--n", "100000000", "--p", "10"),
+        ("totally-geodesic", "--n", "10000000000", "--p", "100000000"),
+        ("umbilical-sphere", "--n", "100000000", "--p", "3", "--H", "1"),
+    ])
+    def test_absurd_sizes_are_usage_errors(self, capsys, tmp_path, argv):
+        report = tmp_path / "model.json"
+        code, out, err = run(capsys, "model", *argv, "--out", str(report))
+        assert code == 5 and out == "" and not report.exists()
+        assert err.startswith("error: --n: ") and err.count("\n") == 1
 
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "model", "moebius")
@@ -670,6 +798,24 @@ class TestSearchArguments:
         code, out, err = run(capsys, "check", path, "--budget", "-3", "--no-timestamp")
         assert code == 5 and out == ""
         assert err == "error: --budget must be >= 0\n"
+
+    # the seed reaches the plane search of the n = 5 record, never the n = 2 one
+    @pytest.mark.parametrize("argv", [
+        ("check", "MIXED"),
+        ("ddvv", "--random", "2", "2", "10"),
+        ("ddvv", "--maximize", "2", "2", "2"),
+        ("ddvv", "--input", "MIXED"),
+    ], ids=["check", "random", "maximize", "input"])
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, argv):
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps([data_to_dict(INDET_DATA),
+                                     data_to_dict(veronese(1.0, 0.0))]))
+        report = tmp_path / "report.json"
+        argv = [str(mixed) if a == "MIXED" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--seed", "-1", "--out", str(report),
+                             "--no-timestamp")
+        assert (code, out, err) == (5, "", "error: --seed must be >= 0\n")
+        assert not report.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-5"])
     def test_check_rejects_bad_jobs(self, capsys, tmp_path, jobs):

@@ -65,6 +65,27 @@ class TestDataValidation:
         assert d.non_mean_indices() == (0, 1)
         assert veronese(1.0, 0.5).non_mean_indices() == (1, 2)
 
+    # finite entries whose S^2 (the DDVV budget) or n(n-1)c overflows
+    @pytest.mark.parametrize("n,c,entry,message", [
+        (2, 1.0, 1e200, r"S\^2 overflows"),
+        (3, 1.0, 1e154, r"S\^2 overflows"),
+        (2, 1.0, 1e308, r"S\^2 overflows \(max \|h_ij\| = 1\.000e\+308\)"),
+        (3, 1e308, 0.0, r"n\(n-1\)c overflows"),
+        (2, -1e308, 0.0, r"n\(n-1\)c overflows"),
+    ], ids=["S-1e200", "S-1e154", "S-1e308", "c-1e308", "c-neg"])
+    def test_overflowing_data_is_rejected(self, n, c, entry, message):
+        forms = np.full((2, n, n), entry)
+        with pytest.raises(ValueError, match=message):
+            FundamentalData(n=n, p=2, c=c, forms=forms)
+        stack = np.stack([np.zeros((2, n, n)), forms])
+        with pytest.raises(ValueError, match=message):
+            FundamentalData.stack(n, 2, c, stack)
+
+    def test_near_limit_data_is_accepted(self):
+        # S = 18e152, S^2 = 3.2e306; n(n-1)c = 6e307
+        data = FundamentalData(n=3, p=2, c=1e307, forms=np.full((2, 3, 3), 1e76))
+        assert np.isfinite(np.einsum("aij,aij->", data.forms, data.forms) ** 2)
+
 
 class TestRiemannSymmetries:
     @pytest.mark.parametrize("label,data", POINTS, ids=IDS)
