@@ -25,14 +25,13 @@ import numpy as np
 # Each subcommand imports the package modules it runs, so `ddvv --random` loads
 # ddvv and symmat, not all eight.
 if TYPE_CHECKING:
-    from .curvature import Bracket, FundamentalData, ScalarInvariants
+    from .curvature import Bracket, FundamentalData
     from .ddvv import DdvvReport
     from .immersion import PointSample
     from .pinching import PinchVerdict
 
 EXIT_OK = 0
 EXIT_FAILS = 1
-EXIT_INDETERMINATE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_PARSE = 4
 EXIT_USAGE = 5
@@ -153,14 +152,14 @@ def sample_to_dict(s: PointSample) -> dict:
     }
 
 
-def record_to_dict(label: str, data: FundamentalData, inv: ScalarInvariants, bracket: Bracket,
-                   dd: DdvvReport, verdicts: list[PinchVerdict], stamp: str | None,
+def record_to_dict(label: str, data: FundamentalData, bracket: Bracket, dd: DdvvReport,
+                   verdicts: list[PinchVerdict], stamp: str | None,
                    elapsed: float | None) -> dict:
-    """The `check` record of one datum: its array-pass row (invariants, DDVV report), its
-    bracket and its verdicts; status and exit_hint are the worst verdict's."""
+    """The `check` record of one datum: its invariants, bracket, DDVV report and verdicts;
+    status and exit_hint are the worst verdict's."""
     from .pinching import severity
 
-    worst = max(verdicts, key=lambda v: severity(v.status))
+    inv, worst = data.invariants, max(verdicts, key=lambda v: severity(v.status))
     return {
         "input": label,
         "shape": {"n": data.n, "p": data.p, "c": data.c, "mean_index": data.mean_index},
@@ -233,15 +232,14 @@ def _timestamp(args) -> str | None:
 
 
 def _array_pass(datas: list[FundamentalData]) -> list[tuple]:
-    """(invariants, bracket, DDVV report) of records sharing n, p, c and mean_index, from
-    one stack; the bracket is None at n >= 3, where the plane search runs per record."""
-    from .curvature import invariants_stack, surface_brackets
+    """(bracket, DDVV report) of records sharing n, p, c and mean_index, from one stack;
+    the bracket is None at n >= 3, where the plane search runs per record."""
+    from .curvature import surface_brackets
     from .ddvv import evaluate_stack
 
     first, forms = datas[0], np.stack([data.forms for data in datas])
     brackets = surface_brackets(forms, first.c) if first.n == 2 else [None] * len(datas)
-    return list(zip(invariants_stack(forms, first.c, first.mean_index), brackets,
-                    evaluate_stack(forms)))
+    return list(zip(brackets, evaluate_stack(forms)))
 
 
 def _check_one(item: tuple[str, FundamentalData], staged: tuple, args, stamp) -> dict:
@@ -252,7 +250,7 @@ def _check_one(item: tuple[str, FundamentalData], staged: tuple, args, stamp) ->
 
     t0 = time.perf_counter()
     label, data = item
-    inv, bracket, dd = staged
+    bracket, dd = staged
     auto = "thm2" if data.mean_index is not None else "thm1"
     try:
         if bracket is None:
@@ -262,7 +260,7 @@ def _check_one(item: tuple[str, FundamentalData], staged: tuple, args, stamp) ->
     except ValueError as exc:  # pinching.HypothesisError included
         return {"input": label, "error": str(exc)}
     elapsed = None if args.no_timestamp else time.perf_counter() - t0
-    return record_to_dict(label, data, inv, bracket, dd, verdicts, stamp, elapsed)
+    return record_to_dict(label, data, bracket, dd, verdicts, stamp, elapsed)
 
 
 def cmd_check(args) -> int:

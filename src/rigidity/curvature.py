@@ -13,11 +13,11 @@ K_min bracket derive from those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmat import rotate_tuple, seed_sequence, signfix, symmetrize
+from .symmat import rotate_tuple, seed_sequence, signfix, symmetrize_tuples
 
 TRACE_TOL = 1e-10
 NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_bracket
@@ -37,7 +37,9 @@ class FundamentalData:
     forms[alpha] is the symmetric matrix (h^alpha_ij).  When mean_index is
     set, that member carries the whole mean curvature (trace n*H) and every
     other member is traceless — the frame with e_{mean} parallel to the mean
-    curvature vector.  Arrays are treated as immutable once constructed.
+    curvature vector.  Validation also leaves the record's ScalarInvariants in
+    `invariants` and the traces tr(H_alpha) in `traces`.  Arrays are treated
+    as immutable once constructed.
     """
 
     n: int
@@ -45,11 +47,12 @@ class FundamentalData:
     c: float
     forms: np.ndarray
     mean_index: int | None = None
+    invariants: ScalarInvariants = field(init=False, repr=False)
+    traces: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         forms = np.asarray(self.forms, dtype=float)[None]  # a record alone: a stack of one
-        object.__setattr__(self, "forms",
-                           self.stack(self.n, self.p, self.c, forms, self.mean_index)[0].forms)
+        self.__dict__.update(vars(self.stack(self.n, self.p, self.c, forms, self.mean_index)[0]))
 
     @classmethod
     def stack(cls, n: int, p: int, c: float, forms,
@@ -67,26 +70,26 @@ class FundamentalData:
             raise ValueError(f"forms must have shape ({p}, {n}, {n}), got {forms.shape[1:]}")
         if not np.isfinite(n * (n - 1) * c):  # the scalar curvature's ambient term
             raise ValueError(f"n(n-1)c overflows, got n={n}, c={c}")
-        with np.errstate(over="ignore"):  # any overflow shows in S^2, which bounds every h*h
-            sym = symmetrize(forms)
-            budget = np.einsum("raij,raij->r", sym, sym) ** 2
-        bad = np.flatnonzero(~np.isfinite(budget))
-        if bad.size:
-            raise ValueError("forms too large: S^2 overflows "
-                             f"(max |h_ij| = {np.max(np.abs(forms[bad[0]])):.3e})")
-        forms = sym
+        forms, s_total = symmetrize_tuples(forms)
+        traces = np.einsum("raii->ra", forms)
         if mean_index is not None:
             if not 0 <= mean_index < p:
                 raise ValueError(f"mean_index {mean_index} out of range for p={p}")
-            others = np.delete(np.einsum("raii->ra", forms), mean_index, axis=1)
-            size = np.max(np.abs(others), axis=1, initial=0.0)
+            size = np.max(np.abs(np.delete(traces, mean_index, axis=1)), axis=1, initial=0.0)
             bad = np.flatnonzero(~negligible_trace(size, forms))
             if bad.size:
                 raise ValueError("mean_index set but another member has nonzero trace "
                                  f"(max {size[bad[0]]:.3e})")
+        means = (np.sqrt(np.sum(traces**2, axis=1)) / n).tolist()
+        s_h = ([None] * len(forms) if mean_index is None
+               else np.sum(forms[:, mean_index] ** 2, axis=(1, 2)).tolist())
         records = [object.__new__(cls) for _ in forms]  # valid already: no __post_init__
-        for record, member in zip(records, forms):
-            record.__dict__.update(n=n, p=p, c=c, forms=member, mean_index=mean_index)
+        for record, member, tr, s, h, sh in zip(records, forms, traces, s_total.tolist(),
+                                                means, s_h):
+            inv = ScalarInvariants(S=s, H=h, S_H=sh, S_I=None if sh is None else s - sh,
+                                   R_scal=n * (n - 1) * c + n**2 * h**2 - s)
+            record.__dict__.update(n=n, p=p, c=c, forms=member, mean_index=mean_index,
+                                   invariants=inv, traces=tr)
         return records
 
     def __eq__(self, other):
@@ -99,10 +102,6 @@ class FundamentalData:
             and self.mean_index == other.mean_index
             and np.array_equal(self.forms, other.forms)
         )
-
-    @property
-    def traces(self) -> np.ndarray:
-        return np.einsum("aii->a", self.forms)
 
     def non_mean_indices(self) -> tuple[int, ...]:
         """Normal indices excluding the mean direction (all, if unset)."""
@@ -214,27 +213,13 @@ def sectional(tensor: CurvatureTensor, plane: PlaneSpec) -> float:
 
 
 def invariants(data: FundamentalData) -> ScalarInvariants:
-    return invariants_stack(data.forms[None], data.c, data.mean_index)[0]
+    return data.invariants
 
 
-def invariants_stack(forms: np.ndarray, c: float,
-                     mean_index: int | None = None) -> list[ScalarInvariants]:
-    """invariants of every record of an (R, p, n, n) stack sharing c and mean_index; the
-    sums run over the stack, and each record's values have its own invariants' bits."""
-    n = forms.shape[-1]
-    s_total = np.einsum("raij,raij->r", forms, forms).tolist()
-    means = (np.sqrt(np.sum(np.einsum("raii->ra", forms) ** 2, axis=1)) / n).tolist()
-    s_h = ([None] * len(forms) if mean_index is None
-           else np.sum(forms[:, mean_index] ** 2, axis=(1, 2)).tolist())
-    return [ScalarInvariants(S=s, H=h, S_H=sh, S_I=None if sh is None else s - sh,
-                             R_scal=n * (n - 1) * c + n**2 * h**2 - s)
-            for s, h, sh in zip(s_total, means, s_h)]
-
-
-def case_terms(data: FundamentalData, inv: ScalarInvariants,
-               mean: bool) -> tuple[tuple[int, ...], float, float]:
+def case_terms(data: FundamentalData, mean: bool) -> tuple[tuple[int, ...], float, float]:
     """(restriction, S~, ambient) of a pinching case, from the invariants of `data`: all
     normal directions, S and c (minimal), or the non-mean ones, S_I and c + H^2 (mean)."""
+    inv = data.invariants
     if mean:
         return data.non_mean_indices(), inv.S_I, data.c + inv.H**2
     return tuple(range(data.p)), inv.S, data.c

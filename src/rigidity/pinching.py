@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ddvv
-from .curvature import (Bracket, FundamentalData, case_terms, invariants, kmin_bracket,
-                        negligible_trace)
+from .curvature import Bracket, FundamentalData, case_terms, kmin_bracket, negligible_trace
 from .symmat import commutes, sgn
-
-LABELS = ("TotallyGeodesic", "ProductOfSpheres", "Veronese", "UmbilicalSphere",
-          "Undetermined")
 
 
 class HypothesisError(ValueError):
@@ -95,7 +91,7 @@ def threshold_generalized(p: int, n: int, c: float, H: float) -> float:
 
 def _is_pseudo_umbilical(data: FundamentalData, tol: float) -> bool:
     hm = data.forms[data.mean_index]
-    scalar = (np.trace(hm) / data.n) * np.eye(data.n)
+    scalar = (data.traces[data.mean_index] / data.n) * np.eye(data.n)
     return bool(np.max(np.abs(hm - scalar)) <= tol * max(1.0, float(np.max(np.abs(hm)))))
 
 
@@ -170,7 +166,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     threshold_of, not_minimal, zero_mean, unit_sphere = _TABLE[which]
-    inv = invariants(data)
+    inv = data.invariants
     minimal = negligible_trace(np.max(np.abs(data.traces)), data.forms, tol)
     soft = 1e-6  # structural predicate tolerance, looser than the verdict gate
 
@@ -186,7 +182,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     if unit_sphere and abs(data.c - 1.0) > 1e-9:
         raise HypothesisError(f"{which} is stated in a unit sphere, got c = {data.c}")
     threshold = threshold_of(data, inv.H if mean_case else 0.0)  # may reject c + H^2 <= 0
-    restriction, s_ref, ambient = case_terms(data, inv, mean_case)
+    restriction, s_ref, ambient = case_terms(data, mean_case)
 
     if bracket is None:
         bracket = kmin_bracket(data)
@@ -215,8 +211,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
                      "low-codimension classifications apply")
 
     label = "Undetermined"
-    s_scale = max(1.0, float(np.sum(data.forms**2)))
-    if s_ref <= tol * s_scale:
+    if s_ref <= tol * max(1.0, inv.S):
         label = "UmbilicalSphere" if mean_case else "TotallyGeodesic"
     elif status == "boundary":
         if (data.n == 2 and len(restriction) == 2 and ddvv_equality and collapsed):

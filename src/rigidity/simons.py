@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import FundamentalData, case_terms, invariants, riemann
+from .curvature import FundamentalData, case_terms, riemann
 from .ddvv import commutator_energy
 from .symmat import sgn
 
@@ -89,7 +89,7 @@ def mean_coupling(data: FundamentalData) -> float:
         raise ValueError("mean_coupling needs data with mean_index set")
     idx = data.non_mean_indices()
     hm = data.forms[data.mean_index]
-    tm = float(np.trace(hm))
+    tm = float(data.traces[data.mean_index])
     sub = data.forms[list(idx)]
     hsq = np.einsum("aik,akj->aij", sub, sub)
     first = float(np.einsum("aij,ji->", hsq, hm)) * tm
@@ -153,7 +153,7 @@ def _case_frame(data: FundamentalData, case: str):
     p_eff = data.p - 1 if mean else data.p
     if p_eff < 1:
         raise ValueError("parallel-mean case needs at least one non-mean direction")
-    idx, s_tilde, ambient = case_terms(data, invariants(data), mean)
+    idx, s_tilde, ambient = case_terms(data, mean)
     return idx, p_eff, s_tilde, ambient
 
 

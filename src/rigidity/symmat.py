@@ -59,7 +59,20 @@ def as_tuple(mats, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"tuple dimension {stack.shape[1]} does not match required {dim}")
     if stack.shape[0] == 0:
         return np.asarray(stack, dtype=float)
-    return symmetrize(stack)
+    return symmetrize_tuples(stack[None])[0][0]
+
+
+def symmetrize_tuples(a) -> tuple[np.ndarray, np.ndarray]:
+    """symmetrize an (R, m, n, n) stack, and each tuple's S = sum_r ||B_r||^2; a tuple whose
+    S^2 overflows is rejected, as S^2 bounds every product of two of its entries."""
+    with np.errstate(over="ignore"):
+        sym = symmetrize(a)
+        s = np.einsum("raij,raij->r", sym, sym)
+        bad = np.flatnonzero(~np.isfinite(s ** 2))
+    if bad.size:
+        raise ValueError("forms too large: S^2 overflows "
+                         f"(max |h_ij| = {np.max(np.abs(a[bad[0]])):.3e})")
+    return sym, s
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -738,25 +738,41 @@ class TestArrayPass:
         totally_geodesic(3, 2, 0.0),
     ]
 
+    def _one_file_per_record(self, capsys, tmp_path, flags, labels):
+        """(stdout, stderr, worst exit code) of one `check` per record, relabelled."""
+        expected, errors, worst = [], [], 0
+        for i, (data, label) in enumerate(zip(self.RECORDS, labels)):
+            single = write_data(tmp_path / f"single{i}.json", data)
+            code, out, err = run(capsys, "check", single, *flags)
+            expected.append(dict(json.loads(out)["records"][0], input=label))
+            errors.append(err.replace(single, label))
+            worst = max(worst, code)
+        return json.dumps({"records": expected}, indent=2) + "\n", "".join(errors), worst
+
     @pytest.mark.parametrize("jobs", ["1", "3"])
     def test_interleaved_file_equals_one_file_per_record(self, capsys, tmp_path, jobs):
         flags = ("--budget", "4", "--no-timestamp", "--jobs", jobs)
-        expected, errors, worst = [], [], 0
-        for i, data in enumerate(self.RECORDS):
-            single = write_data(tmp_path / f"single{i}.json", data)
-            code, out, err = run(capsys, "check", single, *flags)
-            record = json.loads(out)["records"][0]
-            record["input"] = f"{tmp_path / 'batch.json'}#{i}"
-            expected.append(record)
-            errors.append(err.replace(single, record["input"]))
-            worst = max(worst, code)
         batch = tmp_path / "batch.json"
+        expected, errors, worst = self._one_file_per_record(
+            capsys, tmp_path, flags, [f"{batch}#{i}" for i in range(len(self.RECORDS))])
         batch.write_text(json.dumps([data_to_dict(d) for d in self.RECORDS]))
         code, out, err = run(capsys, "check", str(batch), *flags)
-        assert out == json.dumps({"records": expected}, indent=2) + "\n"
-        assert err == "".join(errors) and err.count("error: ") == 4
+        assert out == expected
+        assert err == errors and err.count("error: ") == 4
         assert "#9: thm1 is stated in a unit sphere, got c = -0.0\n" in err  # not grouped with #10
         assert code == worst == 3
+
+    def test_two_files_equal_one_file_per_record(self, capsys, tmp_path):
+        # #0/#8 and #2/#7 share a shape group across the files: the array pass regroups them
+        flags = ("--budget", "4", "--no-timestamp")
+        halves = (tmp_path / "a.json", self.RECORDS[:6]), (tmp_path / "b.json", self.RECORDS[6:])
+        expected, errors, worst = self._one_file_per_record(
+            capsys, tmp_path, flags, [f"{path}#{i}" for path, part in halves
+                                      for i in range(len(part))])
+        for path, part in halves:
+            path.write_text(json.dumps([data_to_dict(d) for d in part]))
+        code, out, err = run(capsys, "check", *(str(path) for path, _ in halves), *flags)
+        assert (out, err, code) == (expected, errors, worst)
 
     def test_ddvv_input_equals_one_file_per_record(self, capsys, tmp_path):
         expected = []

@@ -29,8 +29,9 @@ from rigidity.curvature import (
     riemann,
     sectional,
 )
+from rigidity.immersion import builtin, sample_grid
 from rigidity.models import totally_geodesic, umbilical_sphere, veronese
-from rigidity.symmat import commutator, rotate_tuple
+from rigidity.symmat import commutator, random_tuple, rotate_tuple
 
 # --- fixtures: one representative datum per frame convention -------------------
 
@@ -207,6 +208,59 @@ class TestInvariants:
     def test_split_requires_mean_frame(self):
         inv = invariants(make_minimal(3, 2, 1.0, np.random.default_rng(10)))
         assert inv.S_H is None and inv.S_I is None
+
+
+class TestStoredInvariants:
+    """A record's invariants and traces come from its validation, with the same bits
+    however the record was built: alone, as a member of a stack, or from skewed input."""
+
+    @staticmethod
+    def _bits(data):
+        inv = data.invariants
+        scalars = [None if v is None else float(v).hex()
+                   for v in (inv.S, inv.H, inv.S_H, inv.S_I, inv.R_scal)]
+        return scalars, data.traces.tobytes()
+
+    def _alone(self, data):
+        return self._bits(FundamentalData(n=data.n, p=data.p, c=data.c, forms=data.forms,
+                                          mean_index=data.mean_index))
+
+    def test_invariants_returns_the_stored_record(self):
+        data = veronese(1.0, 0.6)
+        assert invariants(data) is data.invariants
+        assert data.traces.shape == (data.p,)
+
+    def test_veronese_grid_members(self):
+        samples = sample_grid(builtin("veronese"), 12)
+        assert len(samples) == 144
+        for k, sample in enumerate(samples):
+            assert self._bits(sample.data) == self._alone(sample.data), f"member {k}"
+
+    def test_interleaved_mean_aligned_stack(self):
+        rng = np.random.default_rng(21)
+        records = [make_pseudo_umbilical(3, 3, 1.0, 0.4, rng),
+                   align_mean_frame(make_general(3, 3, 1.0, rng)),
+                   make_pseudo_umbilical(3, 3, 1.0, 1.7, rng)]
+        order = [0, 1, 0, 2, 1, 2, 0]
+        stacked = FundamentalData.stack(3, 3, 1.0, np.stack([records[i].forms for i in order]),
+                                        mean_index=0)
+        for i, data in zip(order, stacked):
+            assert data.invariants.S_I is not None
+            assert self._bits(data) == self._bits(records[i]) == self._alone(data)
+
+    def test_skewed_input_gives_the_symmetrized_values(self):
+        rng = np.random.default_rng(22)
+        forms = random_tuple(4, 3, rng)
+        skew = rng.uniform(-1e-10, 1e-10, size=forms.shape)  # |a_ij - a_ji| < 4e-10 < 1e-9
+        raw = forms + skew - np.swapaxes(skew, 1, 2)
+        data = FundamentalData(n=4, p=3, c=1.0, forms=raw)
+        assert not np.array_equal(data.forms, raw)
+        assert np.array_equal(data.forms, np.swapaxes(data.forms, 1, 2))
+        assert self._bits(data) == self._alone(data)
+        member = FundamentalData.stack(4, 3, 1.0, np.stack([forms, raw, forms]))[1]
+        assert self._bits(member) == self._bits(data)
+        npt.assert_array_equal(data.invariants.S, np.einsum("aij,aij->", data.forms, data.forms))
+        npt.assert_array_equal(data.traces, np.einsum("aii->a", data.forms))
 
 
 # --- K_min bracketing ----------------------------------------------------------

@@ -7,6 +7,7 @@ exactly 1 for every mu > 0.
 """
 
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -150,6 +151,27 @@ class TestEvaluate:
         npt.assert_allclose(rep.rhs, 16.0 / 9.0, rtol=1e-13)
         assert rep.equality
         npt.assert_allclose(rep.extremal_structure.mu, 1.0 / np.sqrt(3.0), rtol=1e-10)
+
+    @staticmethod
+    def _pair(entry):
+        return [np.diag([entry, -entry]), np.array([[0.0, entry], [entry, 0.0]])]
+
+    @pytest.mark.parametrize("entry_point", [evaluate, detect_equality],
+                             ids=["evaluate", "detect_equality"])
+    def test_overflowing_budget_is_rejected(self, entry_point):
+        # S^2 = (4e400)^2 overflows: no inf/NaN report, and no RuntimeWarning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                entry_point(self._pair(1e200))
+        assert str(exc.value) == "forms too large: S^2 overflows (max |h_ij| = 1.000e+200)"
+
+    def test_large_finite_budget_is_evaluated(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = evaluate(self._pair(1e70))
+        assert np.isfinite(rep.ratio) and rep.equality
+        npt.assert_allclose(rep.ratio, 1.0, rtol=1e-14)
 
 
 def _bits(report) -> list:

@@ -22,7 +22,7 @@ import numpy.testing as npt
 import pytest
 
 import immersion_reference as ref
-from rigidity import curvature, immersion
+from rigidity import immersion, symmat
 from rigidity.curvature import PlaneSpec, invariants, riemann, sectional
 from rigidity.immersion import (
     BUILTINS,
@@ -266,7 +266,7 @@ class TestBatchedKernel:
             calls.append(a.shape)
             return symmetrize(a)
 
-        monkeypatch.setattr(curvature, "symmetrize", counted)
+        monkeypatch.setattr(symmat, "symmetrize", counted)
         sample_grid(SPHERE_QUAD, 12)
         assert calls == [(144, 2, 2, 2)]   # one stacked check, not one per point
 

@@ -1,18 +1,23 @@
 """Static checks on the package source, with the standard library's ast.
 
-Every top-level import of src/rigidity/*.py is used somewhere in its module,
-and every `__all__` entry names something the module binds at top level, or,
-through the package's lazy name table, something its defining module binds.
+Every top-level import of src/rigidity/*.py is used somewhere in its module;
+every `__all__` entry names something the module binds at top level, or,
+through the package's lazy name table, something its defining module binds;
+and every top-level function, class and constant of the package is named
+somewhere in src/, tests/, bench/ or README.md besides its own definition.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rigidity"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rigidity"
 MODULES = sorted(SRC.glob("*.py"))
+HOOKS = {"__getattr__", "__dir__"}  # module hooks Python calls by name
 
 
 def _literal(tree: ast.Module, name: str):
@@ -47,17 +52,53 @@ def unused_imports(source: str) -> list[str]:
             for name in _imported(node) if name not in used]
 
 
+def _defined(tree: ast.Module) -> list[str]:
+    """Top-level function, class and assigned names: what a module binds, imports aside."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return defined
+
+
 def _bound(tree: ast.Module) -> set[str]:
-    bound = set()
+    bound = set(_defined(tree))
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(_imported(node))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
     return bound
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attributes, imported names and identifier
+    strings (`_LAZY` keys, `getattr` targets); a definition alone names nothing."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            named.add(node.value)
+    return named
+
+
+def dead_names(root: Path) -> list[str]:
+    """`module.name` of each top-level definition of root/src/rigidity/*.py that no file of
+    root's src/, tests/ or bench/ reads and root/README.md does not mention."""
+    named = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for part in ("src", "tests", "bench"):
+        for path in sorted((root / part).rglob("*.py")):
+            named |= _named(ast.parse(path.read_text()))
+    return [f"{path.stem}.{name}" for path in sorted((root / "src" / "rigidity").glob("*.py"))
+            for name in _defined(ast.parse(path.read_text()))
+            if name not in named and name not in HOOKS]
 
 
 def unresolved_all(source: str) -> list[str]:
@@ -91,6 +132,23 @@ def test_checks_catch_what_they_claim():
     lazy = ("_LAZY = {'sgn': 'symmat', 'nowhere': 'symmat', 'c': 'symmat'}\n"
             "__all__ = list(_LAZY)\n")
     assert unresolved_all(lazy) == ["nowhere", "c"]
+
+
+def test_every_top_level_definition_is_named():
+    assert dead_names(ROOT) == []
+
+
+def test_dead_name_check_catches_what_it_claims(tmp_path):
+    for part in ("src/rigidity", "tests", "bench"):
+        (tmp_path / part).mkdir(parents=True)
+    (tmp_path / "src/rigidity/a.py").write_text(
+        "USED, DEAD = 1, 2\nLAZY = {'lazy': 'a'}\n"
+        "def lazy(): pass\ndef helper(): return USED\ndef dead(): return helper()\n"
+        "class Dead: pass\ndef __getattr__(name): pass\n")
+    (tmp_path / "tests/test_a.py").write_text("from rigidity.a import LAZY\n")
+    (tmp_path / "bench/b.py").write_text("# DEAD and dead appear only in a comment\n")
+    (tmp_path / "README.md").write_text("`Dead` is documented.\n")
+    assert dead_names(tmp_path) == ["a.DEAD", "a.dead"]
 
 
 def test_lazy_names_are_the_module_objects():
