@@ -18,6 +18,7 @@ import threading
 import time
 from datetime import datetime, timezone
 from itertools import repeat
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -49,9 +50,23 @@ def data_to_dict(data: FundamentalData) -> dict:
     }
 
 
-def _is_int(value) -> bool:
+def _is_number(value, kinds=(int, float)) -> bool:
     # bool is a subclass of int, so JSON true/false would pass as 1/0
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _non_number(value) -> str | None:
+    """The type name of an entry of nested JSON lists that is not a number, else None."""
+    level = [value]
+    while level:  # level by level: no depth of nesting can exhaust the stack
+        nested = []
+        for x in level:
+            if isinstance(x, list):
+                nested += x
+            elif not _is_number(x):
+                return type(x).__name__
+        level = nested
+    return None
 
 
 def data_from_dict(obj) -> FundamentalData:
@@ -59,47 +74,50 @@ def data_from_dict(obj) -> FundamentalData:
 
 
 def _data_from_dicts(objs) -> list[FundamentalData]:
-    """data_from_dict of every payload, records sharing n, p, c and mean_index as one stack
-    (repr(c) keeps 0.0 and -0.0 apart)."""
+    """data_from_dict of every payload, each shape group validated as one stack."""
     from .curvature import FundamentalData
 
-    def stack(group):
-        n, p, c, _, mean_index = group[0]
-        return FundamentalData.stack(n, p, c, np.stack([f[3] for f in group]), mean_index)
-
-    return _by_group([_fields(obj) for obj in objs], lambda f: (*f[:2], repr(f[2]), f[4]), stack)
+    return _by_group([_fields(obj) for obj in objs],
+                     lambda f, forms: FundamentalData.stack(f.n, f.p, f.c, forms, f.mean_index))
 
 
-def _fields(obj) -> tuple:
-    """(n, p, c, forms, mean_index) of one FundamentalData payload, each field checked."""
+def _fields(obj) -> SimpleNamespace:
+    """n, p, c, forms and mean_index of one FundamentalData payload, each field checked."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("n", "p", "c", "H_matrices"):
         if key not in obj:
             raise ValueError(f"missing required field {key!r}")
     n, p = obj["n"], obj["p"]
-    if not _is_int(n) or not _is_int(p):
+    if not _is_number(n, int) or not _is_number(p, int):
         raise ValueError("fields 'n' and 'p' must be integers")
     mean_index = obj.get("mean_index")
-    if mean_index is not None and not _is_int(mean_index):
+    if mean_index is not None and not _is_number(mean_index, int):
         raise ValueError("field 'mean_index' must be an integer or null")
     c = obj["c"]
-    if isinstance(c, bool) or not isinstance(c, (int, float)) or not np.isfinite(c):
+    if not _is_number(c) or not abs(c) <= sys.float_info.max:  # nan, inf, an int past float
         raise ValueError(f"field 'c' must be a finite number, got {c!r}")
-    forms = np.asarray(obj["H_matrices"], dtype=float)
+    if bad := _non_number(obj["H_matrices"]):
+        raise ValueError(f"field 'H_matrices' must hold numbers, got {bad}")
+    try:
+        forms = np.asarray(obj["H_matrices"], dtype=float)
+    except OverflowError:  # an int past the float range is not finite either
+        forms = np.array(np.inf)
     if not np.all(np.isfinite(forms)):
         raise ValueError("field 'H_matrices' has non-finite entries")
-    return n, p, float(c), forms, mean_index
+    return SimpleNamespace(n=n, p=p, c=float(c), forms=forms, mean_index=mean_index)
 
 
-def _by_group(items, key, run) -> list:
-    """One result per item: run(items) on each group of items with equal key(item)."""
+def _by_group(records, run) -> list:
+    """One result per record, from run(first, forms) once per shape group: the records sharing
+    n, p, repr(c) (-0.0 is not 0.0) and mean_index, their forms as one (R, p, n, n) stack."""
     groups: dict = {}
-    for k, item in enumerate(items):
-        groups.setdefault(key(item), []).append(k)
-    out = [None] * len(items)
+    for k, record in enumerate(records):
+        groups.setdefault((record.n, record.p, repr(record.c), record.mean_index), []).append(k)
+    out = [None] * len(records)
     for group in groups.values():
-        for k, result in zip(group, run([items[k] for k in group])):
+        results = run(records[group[0]], np.stack([records[k].forms for k in group]))
+        for k, result in zip(group, results):
             out[k] = result
     return out
 
@@ -176,7 +194,11 @@ def record_to_dict(label: str, data: FundamentalData, bracket: Bracket, dd: Ddvv
 
 
 def _dump(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -231,14 +253,13 @@ def _timestamp(args) -> str | None:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _array_pass(datas: list[FundamentalData]) -> list[tuple]:
-    """(bracket, DDVV report) of records sharing n, p, c and mean_index, from one stack;
-    the bracket is None at n >= 3, where the plane search runs per record."""
+def _array_pass(first: FundamentalData, forms: np.ndarray) -> list[tuple]:
+    """(bracket, DDVV report) of each record of a shape group, from its stacked forms; the
+    bracket is None at n >= 3, where the plane search runs per record."""
     from .curvature import surface_brackets
     from .ddvv import evaluate_stack
 
-    first, forms = datas[0], np.stack([data.forms for data in datas])
-    brackets = surface_brackets(forms, first.c) if first.n == 2 else [None] * len(datas)
+    brackets = surface_brackets(forms, first.c) if first.n == 2 else [None] * len(forms)
     return list(zip(brackets, evaluate_stack(forms)))
 
 
@@ -277,8 +298,7 @@ def cmd_check(args) -> int:
 
     # one array pass per group; it raises on no validated data (non-finite sums stay
     # NaN/inf), so what can fail, the n >= 3 plane search and the verdicts, runs per record
-    staged = _by_group([data for _, data in items],
-                       lambda d: (d.n, d.p, repr(d.c), d.mean_index), _array_pass)
+    staged = _by_group([data for _, data in items], _array_pass)
 
     if args.jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -392,8 +412,7 @@ def cmd_ddvv(args) -> int:
     from .ddvv import evaluate_stack
 
     items = load_inputs(args.input)
-    reports = _by_group([data for _, data in items], lambda d: d.forms.shape,
-                        lambda ds: evaluate_stack(np.stack([d.forms for d in ds])))
+    reports = _by_group([data for _, data in items], lambda _, forms: evaluate_stack(forms))
     reports = [{"input": label, **ddvv_to_dict(r)} for (label, _), r in zip(items, reports)]
     _dump({"mode": "input", "reports": reports, "timestamp": _timestamp(args)},
           args.out)
@@ -424,8 +443,10 @@ def cmd_immersion(args) -> int:
 
     if args.grid < 1:
         return _usage("--grid must be >= 1")
+    spec = builtin(args.builtin)
+    if _allocate("--grid", (args.grid ** spec.n, spec.n)) is None:  # grid_points' array
+        return EXIT_USAGE
     try:
-        spec = builtin(args.builtin)
         samples = sample_grid(spec, args.grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -443,23 +464,11 @@ def cmd_pinch(args) -> int:
     lines = ["p,n,yau,itoh,thm1,thm2@c+H^2=1,generalized_i,generalized_ii"]
     for p in range(1, pmax + 1):
         for n in range(2, nmax + 1):
-            row = [
-                str(p),
-                str(n),
-                repr(threshold_yau(p)),
-                repr(threshold_itoh(n)),
-                repr(threshold_thm1(p)),
-                repr(threshold_thm2(p, 1.0, 0.0)),
-                repr(threshold_generalized(p, n, 1.0, 0.0)),
-                repr(threshold_generalized(p, n, 0.0, 1.0)),
-            ]
-            lines.append(",".join(row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            cells = (threshold_yau(p), threshold_itoh(n), threshold_thm1(p),
+                     threshold_thm2(p, 1.0, 0.0), threshold_generalized(p, n, 1.0, 0.0),
+                     threshold_generalized(p, n, 0.0, 1.0))
+            lines.append(",".join([str(p), str(n), *map(repr, cells)]))
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

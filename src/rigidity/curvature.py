@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symmat import rotate_tuple, seed_sequence, signfix, symmetrize_tuples
+from .symmat import gram_frame, rotate_tuple, seed_sequence, symmetrize_tuples
 
 TRACE_TOL = 1e-10
 NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_bracket
@@ -469,23 +469,17 @@ def align_mean_frame(data: FundamentalData) -> FundamentalData:
     norm = float(np.linalg.norm(traces))
     if negligible_trace(norm, data.forms):
         return data
+    # Householder reflection along w = tau + s e_0, s = sign(tau_0): |w| >= 1, so nothing
+    # cancels.  It maps tau to -s e_0, so row 0 of q, scaled by -s, is tau and member 0
+    # has trace tau . traces = |traces| > 0 (the determinant's sign is irrelevant).
     tau = traces / norm
-    # Householder reflection mapping tau to e_0, negated into a rotation-like
-    # orthogonal q with first row tau (determinant sign is irrelevant here).
-    e0 = np.zeros(data.p)
-    e0[0] = 1.0
-    w = tau - e0
-    wn = float(w @ w)
-    if wn < 1e-30:
-        q = np.eye(data.p)
-    else:
-        q = np.eye(data.p) - 2.0 * np.outer(w, w) / wn
-    forms = rotate_tuple(data.forms, q)
-    if forms[0].trace() < 0:  # enforce the positive-trace convention
-        q = q.copy()
-        q[0] = -q[0]
-        forms = rotate_tuple(data.forms, q)
-    return FundamentalData(n=data.n, p=data.p, c=data.c, forms=forms, mean_index=0)
+    s = 1.0 if tau[0] >= 0 else -1.0
+    w = tau.copy()
+    w[0] += s
+    q = np.eye(data.p) - 2.0 * np.outer(w, w) / (w @ w)
+    q[0] *= -s
+    return FundamentalData(n=data.n, p=data.p, c=data.c, forms=rotate_tuple(data.forms, q),
+                           mean_index=0)
 
 
 def gram_diagonalize(data: FundamentalData, restrict=None) -> FundamentalData:
@@ -502,11 +496,7 @@ def gram_diagonalize(data: FundamentalData, restrict=None) -> FundamentalData:
     if not idx:
         return data
     sub = data.forms[list(idx)]
-    gram = np.einsum("aij,bij->ab", sub, sub)
-    vals, vecs = np.linalg.eigh(gram)
-    order = np.argsort(vals)[::-1]
-    vecs = signfix(vecs[:, order])
-    rotated = rotate_tuple(sub, vecs.T)
+    rotated = rotate_tuple(sub, gram_frame(sub)[1])
     forms = data.forms.copy()
     for slot, mat in zip(idx, rotated):
         forms[slot] = mat

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import as_tuple, random_tuple, seed_sequence, signfix
+from .symmat import as_tuple, gram_frame, random_tuple, seed_sequence, signfix
 
 EQUALITY_RTOL = 1e-8
 
@@ -200,10 +200,7 @@ def equality_structures(t: np.ndarray) -> list[ExtremalStructure]:
 
     # Normal rotation from the Gram spectrum: the two dominant directions
     # carry the active pair.
-    vals, vecs = np.linalg.eigh(np.einsum("krij,ksij->krs", t, t))
-    order = np.argsort(vals)[:, ::-1]
-    vals = np.take_along_axis(vals, order, axis=1)
-    q = np.swapaxes(signfix(np.take_along_axis(vecs, order[:, None], axis=2)), 1, 2)
+    vals, q = gram_frame(t)
     rot = np.einsum("krs,ksij->krij", q, t)
     a, b = rot[:, 0], rot[:, 1]
     offplane = np.sum(rot[:, 2:].reshape(k, -1) ** 2, axis=1)

@@ -55,7 +55,6 @@ class ImmersionSpec:
     N: int
     ambient: Ambient
     bounds: tuple
-    name: str = ""
 
     @property
     def p(self) -> int:
@@ -326,20 +325,18 @@ def second_fundamental_form(spec: ImmersionSpec, u) -> PointSample:
     return _sample(spec, _points(spec, u))[0]
 
 
-def grid_points(spec: ImmersionSpec, grid: int) -> list[np.ndarray]:
-    """Cell midpoints of a grid^n subdivision of the spec's bounds."""
+def grid_points(spec: ImmersionSpec, grid: int) -> np.ndarray:
+    """Cell midpoints of a grid^n subdivision of the spec's bounds: a (grid^n, n) array,
+    one point per row in row-major order."""
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    axes = []
-    for (lo, hi) in spec.bounds:
-        axes.append(lo + (np.arange(grid) + 0.5) * (hi - lo) / grid)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [np.array(pt) for pt in zip(*(m.ravel() for m in mesh))]
+    axes = [lo + (np.arange(grid) + 0.5) * (hi - lo) / grid for lo, hi in spec.bounds]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def sample_grid(spec: ImmersionSpec, grid: int) -> list[PointSample]:
     """Evaluate every grid midpoint as one batch, in deterministic row-major order."""
-    return _sample(spec, np.stack(grid_points(spec, grid)))
+    return _sample(spec, grid_points(spec, grid))
 
 
 # -- builtin immersions --------------------------------------------------------
@@ -382,16 +379,13 @@ def builtin(name: str) -> ImmersionSpec:
     if name == "veronese":
         return ImmersionSpec(map=_veronese_map, n=2, N=5,
                              ambient=Ambient("sphere", 1.0),
-                             bounds=((0.0, np.pi), (0.0, 2.0 * np.pi)),
-                             name="veronese")
+                             bounds=((0.0, np.pi), (0.0, 2.0 * np.pi)))
     if name == "clifford":
         return ImmersionSpec(map=_clifford_map, n=2, N=4,
                              ambient=Ambient("sphere", 1.0),
-                             bounds=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)),
-                             name="clifford")
+                             bounds=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)))
     if name == "graph":
         return ImmersionSpec(map=_saddle_map, n=2, N=3,
                              ambient=Ambient("euclidean"),
-                             bounds=((-1.0, 1.0), (-1.0, 1.0)),
-                             name="graph")
+                             bounds=((-1.0, 1.0), (-1.0, 1.0)))
     raise ValueError(f"unknown builtin immersion {name!r} (expected one of {BUILTINS})")

@@ -124,6 +124,15 @@ def signfix(v: np.ndarray) -> np.ndarray:
     return np.where(lead < 0, -v, v)
 
 
+def gram_frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram eigenframe of an (..., m, n, n) stack: the eigenvalues of tr(B_r B_s), descending,
+    and their sign-fixed eigenvectors as the rows q of an orthogonal (..., m, m) rotation."""
+    vals, vecs = np.linalg.eigh(np.einsum("...rij,...sij->...rs", t, t))
+    order = np.argsort(vals)[..., ::-1]
+    q = signfix(np.take_along_axis(vecs, order[..., None, :], axis=-1))
+    return np.take_along_axis(vals, order, axis=-1), np.swapaxes(q, -1, -2)
+
+
 def sgn(x) -> int:
     """Standard sign: -1, 0, or +1 (sgn(0) = 0)."""
     if x > 0:

@@ -284,12 +284,16 @@ class TestParseValidation:
         ("mean_index", True, veronese(1.0, 0.6)),
         ("c", float("nan"), veronese(1.0, 0.6)),
         ("c", float("inf"), veronese(1.0, 0.6)),
-        ("H_matrices", "nan-entry", veronese(1.0, 0.6)),
-    ], ids=["n-bool", "p-bool", "mean_index-bool", "c-nan", "c-inf", "forms-nan"])
+        ("c", 10**400, veronese(1.0, 0.6)),
+        ("H_matrices", ("entry", float("nan")), veronese(1.0, 0.6)),
+        ("H_matrices", ("entry", 10**400), veronese(1.0, 0.6)),
+    ], ids=["n-bool", "p-bool", "mean_index-bool", "c-nan", "c-inf", "c-huge-int", "forms-nan",
+            "forms-huge-int"])
     def test_bad_field_exits_four(self, capsys, tmp_path, field, value, base):
+        # an int past the float range is no finite number, in c and in H_matrices alike
         bad = data_to_dict(base)
-        if value == "nan-entry":
-            bad["H_matrices"][1][0][1] = float("nan")
+        if isinstance(value, tuple):
+            bad["H_matrices"][1][0][1] = value[1]
         else:
             bad[field] = value
         batch = tmp_path / "batch.json"
@@ -322,6 +326,43 @@ class TestParseValidation:
                 assert err == alone.replace(str(single), f"{batch}#{first}")
             else:
                 assert err == f"error: {batch}#{first}: {message}\n"
+
+    # JSON strings and booleans are not numbers, whatever numpy would make of them; numpy
+    # upcasts the bool among floats silently, so a dtype check alone would miss it
+    @pytest.mark.parametrize("entries, kind", [
+        ([[["0.5", "0"], ["0", "-0.5"]]], "str"),
+        ([[[True, False], [False, True]]], "bool"),
+        ([[[0.5, True], [True, -0.5]]], "bool"),
+    ], ids=["strings", "booleans", "bool-among-floats"])
+    @pytest.mark.parametrize("command", [("check",), ("ddvv", "--input")], ids=["check", "ddvv"])
+    def test_non_number_entries_exit_four(self, capsys, tmp_path, command, entries, kind):
+        bad = dict(data_to_dict(veronese(1.0, 0.0)), p=1, H_matrices=entries)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)), bad]))
+        message = f"field 'H_matrices' must hold numbers, got {kind}"
+        code, out, err = run(capsys, *command, str(batch), "--no-timestamp")
+        assert (code, out, err) == (4, "", f"error: {batch}#1: {message}\n")
+        with pytest.raises(ValueError) as exc:
+            data_from_dict(bad)
+        assert str(exc.value) == message
+
+    def test_integer_entries_are_numbers(self):
+        big = 2**70   # past int64, so numpy holds it as an object until the float cast
+        payload = dict(data_to_dict(veronese(1.0, 0.0)), p=1, H_matrices=[[[big, 0], [0, -big]]])
+        expected = FundamentalData(n=2, p=1, c=1.0, forms=[np.diag([2.0**70, -2.0**70])])
+        assert data_from_dict(json.loads(json.dumps(payload))) == expected
+
+    @pytest.mark.parametrize("records, message", [
+        ([1, {"data": None}], "#0: expected a JSON object, got int"),
+        ([{"n": 0, "p": 1, "c": 1.0, "H_matrices": [[]]}],
+         "#0: need n >= 1 and p >= 1, got n=0, p=1"),
+    ], ids=["non-object", "n0"])
+    @pytest.mark.parametrize("command", [("check",), ("ddvv", "--input")], ids=["check", "ddvv"])
+    def test_malformed_record_exits_four(self, capsys, tmp_path, command, records, message):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(records))
+        code, out, err = run(capsys, *command, str(batch), "--no-timestamp")
+        assert (code, out, err) == (4, "", f"error: {batch}{message}\n")
 
     def test_reports_never_hold_nan(self):
         with pytest.raises(ValueError):
@@ -471,9 +512,13 @@ class TestImmersionCommand:
         code, _, _ = run(capsys, "immersion", "--builtin", "sphere")
         assert code == 5
 
+    # the last two ask for a (grid^2, 2) points array past numpy's index range, which numpy
+    # refuses before touching memory
     @pytest.mark.parametrize("argv,flag", [
         (("--grid", "0"), "--grid"),
         (("--grid", "-2"), "--grid"),
+        (("--grid", "1000000000000"), "--grid: "),
+        (("--grid", "100000000000000000000"), "--grid: "),
     ])
     def test_bad_arguments_are_usage_errors(self, capsys, argv, flag):
         code, out, err = run(capsys, "immersion", "--builtin", "graph", *argv)
@@ -533,6 +578,13 @@ class TestPinchCommand:
         assert by_p["2"][2] == "0.3333333333333333" == by_p["2"][4]
         assert by_p["4"][2] == "0.42857142857142855"
         assert by_p["4"][4] == "0.4"
+
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        table = tmp_path / "table.csv"
+        _, printed, _ = run(capsys, "pinch", "--table", "3", "4")
+        code, out, err = run(capsys, "pinch", "--table", "3", "4", "--out", str(table))
+        assert (code, out, err) == (0, "", "")
+        assert table.read_bytes() == printed.encode()
 
     def test_bad_table_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "pinch", "--table", "0", "5")

@@ -334,6 +334,20 @@ class TestAlignMeanFrame:
                                 atol=1e-12 * max(1.0, i0.S),
                                 err_msg=f"curvature changed at draw {k}")
 
+    # the Householder q maps tau = traces/|traces| to e_0, so its row 0 is tau and member 0
+    # gets trace |traces| > 0 with no sign correction, tau near e_0 and near -e_0 included
+    @pytest.mark.parametrize("eps", [0.0, 1e-15, 1e-8, 1e-3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mean_member_trace_is_positive(self, sign, eps):
+        tau = np.array([sign, eps, -eps]) / np.sqrt(1.0 + 2.0 * eps**2)
+        forms = (random_tuple(3, 3, np.random.default_rng(19), scale=0.6, traceless=True)
+                 + (2.0 * tau / 3.0)[:, None, None] * np.eye(3))
+        data = FundamentalData(n=3, p=3, c=1.0, forms=forms)
+        out = align_mean_frame(data)
+        assert out.traces[0] > 0
+        npt.assert_allclose(out.traces[0], np.linalg.norm(data.traces), rtol=1e-12)
+        npt.assert_allclose(out.traces[1:], 0.0, atol=1e-12)
+
     def test_idempotent_and_minimal_passthrough(self):
         aligned = align_mean_frame(make_general(3, 2, 1.0, np.random.default_rng(14)))
         assert align_mean_frame(aligned) is aligned

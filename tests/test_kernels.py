@@ -1,5 +1,6 @@
 """The shared kernels: one symmetric-stack validator, one commutator energy,
-one sign fix, one trace gate, one restriction check, one seed coercion.
+one sign fix, one Gram eigenframe, one trace gate, one restriction check, one
+seed coercion.
 
 Each is checked against the per-member or per-tuple computation it replaced,
 so batching cannot change a single bit or error message.
@@ -10,9 +11,17 @@ import pytest
 
 from conftest import make_minimal
 from rigidity.curvature import FundamentalData, gram_diagonalize, negligible_trace
-from rigidity.ddvv import commutator_energy, evaluate
+from rigidity.ddvv import commutator_energy, detect_equality, evaluate, extremal_pair
 from rigidity.simons import curvature_contraction
-from rigidity.symmat import as_tuple, random_tuple, seed_sequence, signfix, symmetrize
+from rigidity.symmat import (
+    as_tuple,
+    gram_frame,
+    random_tuple,
+    rotate_tuple,
+    seed_sequence,
+    signfix,
+    symmetrize,
+)
 
 
 class TestStackedSymmetrize:
@@ -96,6 +105,31 @@ class TestSignfix:
         # equal magnitudes: the first one decides
         assert np.array_equal(signfix(np.array([-1.0, 1.0])), [1.0, -1.0])
         assert np.array_equal(signfix(np.zeros((3, 2))), np.zeros((3, 2)))
+
+
+class TestGramFrame:
+    def test_descending_orthogonal_and_diagonalizing(self):
+        t = random_tuple(3, 4, seed=67)
+        vals, q = gram_frame(t)
+        assert np.all(np.diff(vals) <= 0)
+        np.testing.assert_allclose(q @ q.T, np.eye(4), atol=1e-14)
+        rotated = rotate_tuple(t, q)
+        gram = np.einsum("rij,sij->rs", rotated, rotated)
+        np.testing.assert_allclose(gram, np.diag(vals), atol=1e-12)
+
+    def test_stack_equals_per_tuple(self):
+        stack = np.stack([random_tuple(3, 3, seed=s) for s in range(68, 73)])
+        vals, q = gram_frame(stack)
+        for k, t in enumerate(stack):
+            one_vals, one_q = gram_frame(t)
+            assert np.array_equal(vals[k], one_vals) and np.array_equal(q[k], one_q)
+
+    def test_both_gauge_moves_use_it(self):
+        data = make_minimal(3, 3, 1.0, np.random.default_rng(73))
+        assert np.array_equal(gram_diagonalize(data).forms,
+                              rotate_tuple(data.forms, gram_frame(data.forms)[1]))
+        pair = extremal_pair(3, 3, 0.7, slots=(2, 0))
+        assert np.array_equal(detect_equality(pair).normal_rotation, gram_frame(pair)[1])
 
 
 class TestTraceGate:

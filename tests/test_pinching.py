@@ -138,6 +138,14 @@ class TestVerdictFixtures:
             assert v.label == "ProductOfSpheres", f"(n,k)=({n},{k})"
             assert v.threshold == 0.0  # p = 1 degenerates thm1
 
+    def test_three_principal_curvatures_are_not_a_product(self):
+        # the outer pair has lam * mu = -1, so K_min = 0 sits on the p = 1 threshold, but
+        # the middle curvature belongs to neither block of a product of spheres
+        lam = 1.2
+        forms = [np.diag([lam, -(lam - 1.0 / lam), -1.0 / lam])]
+        v = verdict(FundamentalData(n=3, p=1, c=1.0, forms=forms), "thm1")
+        assert (v.status, v.label) == ("boundary", "Undetermined")
+
     def test_fails_on_scaled_veronese(self):
         data = FundamentalData(n=2, p=2, c=1.0, forms=2.0 * veronese(1.0, 0.0).forms)
         v = verdict(data, "thm1")

@@ -1,0 +1,79 @@
+"""Byte-identity check of the command line between two checkouts.
+
+    python3 tools/report_bytes.py PARENT_ROOT CHANGE_ROOT
+
+Builds the commands of every workload in bench/workloads.py, plus the defect
+probe, at seeds 1-3, runs each one with `python -m rigidity.cli` against each
+root's src/, and lists every command whose exit code, stdout, stderr or output
+file differs.  Exits 1 if any differs, else 0.  The workloads are read from this
+checkout's bench/, which the check never writes; each root runs in its own
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+PARTS = ("exit code", "stdout", "stderr", "output file")
+
+
+def plans(seed: int, workdir: Path):
+    """(name, directory, commands) of each workload at seed and of the defect probe; a
+    workload writes its inputs to its own directory, where its commands run."""
+    for name, build in [*workloads.WORKLOADS.items(), ("defect-probe", None)]:
+        cwd = workdir / name
+        cwd.mkdir(parents=True)
+        yield name, cwd, build(seed, cwd).commands if build else workloads.defect_probe_commands()
+
+
+def outcomes(root: Path, seed: int, workdir: Path) -> dict:
+    """(exit code, stdout, stderr, output file bytes or None) of every command at seed, by
+    name, run against root's src/."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    results = {}
+    for name, cwd, commands in plans(seed, workdir):
+        for cmd in commands:
+            done = subprocess.run([sys.executable, "-m", "rigidity.cli", *cmd.argv],
+                                  cwd=cwd, env=env, capture_output=True, check=False)
+            out = cwd / cmd.out
+            results[f"seed {seed} {name}: {cmd.name}"] = (
+                done.returncode, done.stdout, done.stderr,
+                out.read_bytes() if out.exists() else None)
+    return results
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/report_bytes.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    roots = [Path(a).resolve() for a in argv]
+    for root in roots:
+        if not (root / "src" / "rigidity" / "cli.py").is_file():
+            print(f"error: no rigidity sources under {root / 'src'}", file=sys.stderr)
+            return 2
+    total, differing = 0, 0
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            parent, change = (outcomes(root, seed, Path(tmp) / side)
+                              for root, side in zip(roots, ("parent", "change")))
+        for name, before in parent.items():
+            total += 1
+            diff = [part for part, a, b in zip(PARTS, before, change[name]) if a != b]
+            if diff:
+                differing += 1
+                print(f"{name}: {', '.join(diff)} differ")
+    print(f"{differing} of {total} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
