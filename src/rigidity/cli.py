@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import threading
 import time
@@ -96,7 +97,8 @@ def _fields(obj) -> SimpleNamespace:
         raise ValueError("field 'mean_index' must be an integer or null")
     c = obj["c"]
     if not _is_number(c) or not abs(c) <= sys.float_info.max:  # nan, inf, an int past float
-        raise ValueError(f"field 'c' must be a finite number, got {c!r}")
+        shown = f"int of {len(str(abs(c)))} digits" if _is_number(c, int) else repr(c)
+        raise ValueError(f"field 'c' must be a finite number, got {shown}")
     if bad := _non_number(obj["H_matrices"]):
         raise ValueError(f"field 'H_matrices' must hold numbers, got {bad}")
     try:
@@ -585,7 +587,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Exit with main's code: os._exit, once stdout and stderr are flushed, skips teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a broken pipe, a full disk, a closed stream: Python reports it at exit
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

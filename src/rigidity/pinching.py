@@ -59,7 +59,8 @@ def threshold_itoh(n: int) -> float:
 
 
 def threshold_thm2(p: int, c: float, H: float) -> float:
-    """Nonzero parallel mean curvature: sgn(p-2) (p-1)/(2p) * (c + H^2)."""
+    """Nonzero parallel mean curvature: sgn(p-2) (p-1)/(2p) * (c + H^2); its 0 at p = 2 is
+    simons' MINIMAL sign applied to p - 1, not the PARALLEL_MEAN case's 1/4."""
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     amb = c + H * H

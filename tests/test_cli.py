@@ -61,6 +61,20 @@ def write_data(path, data):
     return str(path)
 
 
+def run_python(args, *, unbuffered=False, **kwargs):
+    """`python args` in a fresh process that imports the rigidity under test, run to
+    completion.  Its stdout is block-buffered unless unbuffered; stdout and stderr are
+    captured as bytes unless kwargs redirect them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
+
+
 # frozen verdict fixtures (see the pinching tests for their derivation)
 FAILS_DATA = FundamentalData(n=2, p=2, c=1.0, forms=2.0 * veronese(1.0, 0.0).forms)
 INDET_DATA = FundamentalData(
@@ -278,18 +292,20 @@ class TestParseValidation:
     """Bad field values exit 4 with the record's path#i label."""
 
     # n and p cases use data whose true value is 1, the integer that true aliases
-    @pytest.mark.parametrize("field,value,base", [
-        ("n", True, FundamentalData(n=1, p=1, c=1.0, forms=np.ones((1, 1, 1)))),
-        ("p", True, totally_geodesic(3, 1, 1.0)),
-        ("mean_index", True, veronese(1.0, 0.6)),
-        ("c", float("nan"), veronese(1.0, 0.6)),
-        ("c", float("inf"), veronese(1.0, 0.6)),
-        ("c", 10**400, veronese(1.0, 0.6)),
-        ("H_matrices", ("entry", float("nan")), veronese(1.0, 0.6)),
-        ("H_matrices", ("entry", 10**400), veronese(1.0, 0.6)),
+    # c's error line echoes a float, but only the size of an int, which may have 4300 digits
+    @pytest.mark.parametrize("field,value,base,line", [
+        ("n", True, FundamentalData(n=1, p=1, c=1.0, forms=np.ones((1, 1, 1))), None),
+        ("p", True, totally_geodesic(3, 1, 1.0), None),
+        ("mean_index", True, veronese(1.0, 0.6), None),
+        ("c", float("nan"), veronese(1.0, 0.6), "field 'c' must be a finite number, got nan"),
+        ("c", float("inf"), veronese(1.0, 0.6), "field 'c' must be a finite number, got inf"),
+        ("c", -10**400, veronese(1.0, 0.6),
+         "field 'c' must be a finite number, got int of 401 digits"),
+        ("H_matrices", ("entry", float("nan")), veronese(1.0, 0.6), None),
+        ("H_matrices", ("entry", 10**400), veronese(1.0, 0.6), None),
     ], ids=["n-bool", "p-bool", "mean_index-bool", "c-nan", "c-inf", "c-huge-int", "forms-nan",
             "forms-huge-int"])
-    def test_bad_field_exits_four(self, capsys, tmp_path, field, value, base):
+    def test_bad_field_exits_four(self, capsys, tmp_path, field, value, base, line):
         # an int past the float range is no finite number, in c and in H_matrices alike
         bad = data_to_dict(base)
         if isinstance(value, tuple):
@@ -301,6 +317,8 @@ class TestParseValidation:
         code, out, err = run(capsys, "check", str(batch), "--no-timestamp")
         assert code == 4 and out == ""
         assert f"{batch}#1: " in err and field in err
+        if line:
+            assert err == f"error: {batch}#1: {line}\n"
 
     def test_first_bad_record_in_file_order(self, capsys, tmp_path):
         # records #1 and #3 share a stack with #0, #2 has a bad field: validation of the
@@ -630,14 +648,99 @@ class TestImportSets:
                   f"code = cli.main({argv!r})\n"
                   "print(json.dumps([code, sorted(m for m in sys.modules"
                   " if m.split('.')[0] == 'rigidity')]))")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
+        done = run_python(["-c", script], text=True, check=True)
         code, modules = json.loads(done.stdout.splitlines()[-1])
         assert code == 0
         assert set(modules) - {"rigidity", "rigidity.cli"} <= {f"rigidity.{m}" for m in runs}
+
+
+class TestProcessExit:
+    """`python -m rigidity.cli` ends in entry's os._exit once stdout and stderr are flushed:
+    its exit code, stdout, stderr and --out file are in-process main's, byte for byte, and
+    a failing flush or a raising main exits as Python's own teardown reports it."""
+
+    @pytest.fixture
+    def batch(self, tmp_path):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([data_to_dict(d) for d in (
+            veronese(1.0, 0.0), veronese(1.0, 0.6), FAILS_DATA, product_of_spheres(4, 2, 1.0),
+            totally_geodesic(3, 2, 1.0))]))
+        return str(path)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["check", "BATCH", "--no-timestamp", "--out"], 1),
+        (["check", "BATCH", "--no-timestamp", "--jobs", "3"], 1),
+        (["check", "BATCH", "--theorem", "thm1", "--no-timestamp"], 3),   # an error record
+        (["ddvv", "--input", "BATCH", "--no-timestamp", "--out"], 0),
+        (["ddvv", "--random", "3", "2", "5000", "--seed", "7", "--no-timestamp"], 0),
+        (["ddvv", "--maximize", "2", "2", "3", "--iters", "50", "--no-timestamp", "--out"], 0),
+        (["model", "veronese"], 0),
+        (["model", "product-of-spheres", "--n", "4", "--k", "1", "--out"], 0),
+        (["immersion", "--builtin", "clifford", "--grid", "3", "--out"], 0),
+        (["pinch", "--table", "4", "5"], 0),
+        (["check", "BATCH", "--jobs", "0"], 5),
+        (["check", "BATCH", "--tol"], 5),
+        (["check", "MISSING"], 4),
+    ], ids=["check-out", "check-jobs3", "check-error-record", "ddvv-input", "ddvv-random",
+            "ddvv-maximize", "model", "model-out", "immersion-out", "pinch", "usage-jobs",
+            "usage-argparse", "parse-missing-file"])
+    def test_process_is_main(self, capsys, tmp_path, batch, argv, code):
+        argv = [{"BATCH": batch, "MISSING": str(tmp_path / "missing.json")}.get(a, a)
+                for a in argv]
+        outs = [tmp_path / "main.out", tmp_path / "process.out"] if argv[-1] == "--out" else []
+        assert main(argv + list(map(str, outs[:1]))) == code
+        captured = capsys.readouterr()
+        done = run_python(["-m", "rigidity.cli", *argv, *map(str, outs[1:])])
+        assert (done.returncode, done.stdout.decode(), done.stderr.decode()) == (
+            code, captured.out, captured.err)
+        assert [out.read_bytes() for out in outs[1:]] == [out.read_bytes() for out in outs[:1]]
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_stdout_past_the_pipe_buffer(self, capsys, unbuffered):
+        # about 207 KB, more than a 64 KiB pipe holds: every byte arrives, buffered or not
+        argv = ["immersion", "--builtin", "veronese", "--grid", "12"]
+        code = main(argv)
+        out = capsys.readouterr().out
+        done = run_python(["-m", "rigidity.cli", *argv], unbuffered=unbuffered)
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert len(out) > 3 * 65536 and done.stdout.decode() == out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered,code,tail", [
+        (True, 1, "\nOSError: [Errno 28] No space left on device\n"),
+        (False, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                     "encoding='utf-8'>\nOSError: [Errno 28] No space left on device\n"),
+    ], ids=["unbuffered", "buffered"])
+    def test_full_disk_exits_as_python_reports_it(self, unbuffered, code, tail):
+        # unbuffered, main's own write raises; buffered, entry's flush does and sys.exit
+        # leaves the report to the interpreter's teardown
+        with open("/dev/full", "w") as full:
+            done = run_python(["-m", "rigidity.cli", "pinch", "--table", "2", "2"],
+                              unbuffered=unbuffered, stdout=full)
+        assert done.returncode == code
+        assert done.stderr.decode().endswith(tail)
+        assert unbuffered == done.stderr.startswith(b"Traceback (most recent call last):")
+
+    def test_closed_reader_exits_as_python_reports_it(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = run_python(["-m", "rigidity.cli", "pinch", "--table", "2", "2"], stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == 120
+        assert done.stderr.decode() == (
+            "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+            "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+    def test_raising_main_prints_its_traceback(self):
+        script = ("from rigidity import cli\n"
+                  "def main():\n    print('partial')\n    raise RuntimeError('boom')\n"
+                  "cli.main = main\ncli.entry()\n")
+        done = run_python(["-c", script])
+        assert (done.returncode, done.stdout) == (1, b"partial\n")
+        assert done.stderr.startswith(b"Traceback (most recent call last):")
+        assert done.stderr.endswith(b"\nRuntimeError: boom\n")
 
 
 class TestSharedKernelsInCli:

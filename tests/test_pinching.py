@@ -39,7 +39,7 @@ from rigidity.pinching import (
     threshold_yau,
     verdict,
 )
-from rigidity.simons import PARALLEL_MEAN, laplacian_bound
+from rigidity.simons import MINIMAL, PARALLEL_MEAN, laplacian_bound, optimal_parameter
 from rigidity.symmat import random_tuple, rotate_tuple, sgn
 
 # the indeterminate fixture: a seed-1 traceless n = 5 tuple scaled so the p=3
@@ -80,6 +80,15 @@ class TestThresholdRationals:
         npt.assert_allclose(threshold_thm2(4, 1.0, 0.5), base * 1.25, rtol=1e-15)
         with pytest.raises(ValueError):
             threshold_thm2(4, -1.0, 0.5)
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_thresholds_are_simons_minimal_optimum(self, p):
+        # written apart, they agree bit for bit; thm2 is the MINIMAL optimum at p - 1 (0 at
+        # p = 2), which optimal_parameter defines from p - 1 = 1 on
+        assert threshold_thm1(p).hex() == optimal_parameter(p, MINIMAL)[1].hex()
+        for c, H in [(1.0, 0.0), (0.3, 0.7), (2.5, 1.1), (-0.2, 0.9)]:
+            expected = optimal_parameter(p - 1, MINIMAL)[1] * (c + H * H) if p > 1 else 0.0
+            assert threshold_thm2(p, c, H).hex() == expected.hex()
 
     def test_ordering_thm1_below_yau(self):
         # cross-multiplied: p(2p-1) < 2(p-1)(p+1) iff p > 2, exactly

@@ -3,8 +3,9 @@
 Every top-level import of src/rigidity/*.py is used somewhere in its module;
 every `__all__` entry names something the module binds at top level, or,
 through the package's lazy name table, something its defining module binds;
-and every top-level function, class and constant of the package is named
-somewhere in src/, tests/, bench/ or README.md besides its own definition.
+every top-level function, class and constant of the package is named
+somewhere in src/, tests/, bench/ or README.md besides its own definition; and
+only cli.entry, the process's own exit, names os._exit.
 """
 
 import ast
@@ -101,6 +102,16 @@ def dead_names(root: Path) -> list[str]:
             if name not in named and name not in HOOKS]
 
 
+def hard_exits(root: Path) -> list[str]:
+    """`module.name` of each top-level statement of root/src/rigidity/*.py (`name` is its
+    function or class, else `<module>`) that names `_exit`: an attribute, an import or a
+    getattr string.  os._exit ends the interpreter with no cleanup or unwinding."""
+    return [f"{path.stem}.{getattr(node, 'name', '<module>')}"
+            for path in sorted((root / "src" / "rigidity").glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if "_exit" in _named(node)]
+
+
 def unresolved_all(source: str) -> list[str]:
     """`__all__` entries bound neither at top level nor, through the `_LAZY` name -> module
     table, at the top level of that module of the package."""
@@ -149,6 +160,21 @@ def test_dead_name_check_catches_what_it_claims(tmp_path):
     (tmp_path / "bench/b.py").write_text("# DEAD and dead appear only in a comment\n")
     (tmp_path / "README.md").write_text("`Dead` is documented.\n")
     assert dead_names(tmp_path) == ["a.DEAD", "a.dead"]
+
+
+def test_only_entry_ends_the_interpreter():
+    assert hard_exits(ROOT) == ["cli.entry"]
+
+
+def test_hard_exit_check_catches_what_it_claims(tmp_path):
+    (tmp_path / "src/rigidity").mkdir(parents=True)
+    (tmp_path / "src/rigidity/a.py").write_text(
+        "import os\ndef entry():\n    os._exit(0)\n"
+        "def helper():\n    def inner():\n        os._exit(1)\n"
+        "class Runner:\n    def stop(self):\n        getattr(os, '_exit')(2)\n"
+        "def clean():\n    os.exit_code = 0\n")
+    (tmp_path / "src/rigidity/b.py").write_text("from os import _exit as quit_now\n")
+    assert hard_exits(tmp_path) == ["a.entry", "a.helper", "a.Runner", "b.<module>"]
 
 
 def test_lazy_names_are_the_module_objects():
