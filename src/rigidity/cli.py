@@ -217,10 +217,12 @@ def load_inputs(path: str) -> list[tuple[str, FundamentalData]]:
     samples (objects carrying a "data" field) as written by `immersion`.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # invalid UTF-8, a huge int, deep nesting
+        raise ParseFailure(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ParseFailure(f"{path}: {exc.strerror or exc}") from exc
 
@@ -495,8 +497,8 @@ def _check_arguments(chk) -> None:
                      help="theorem(s) to verify (default: auto by frame)")
     chk.add_argument("--tol", type=float, default=1e-8)
     chk.add_argument("--budget", type=int, default=64,
-                     help="random multistarts of the K_min plane search "
-                          "(n >= 5; n <= 4 is closed form)")
+                     help="random multistarts of the K_min plane search, which runs "
+                          "only when the closed-form plane leaves the bracket open")
     chk.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     chk.add_argument("--jobs", type=int, default=1,
                      help="thread pool size for batch inputs (default: 1, serial)")

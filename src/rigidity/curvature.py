@@ -14,6 +14,7 @@ K_min bracket derive from those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,8 +153,7 @@ class PlaneSpec:
             raise ValueError(f"plane vectors are (nearly) dependent: Gram determinant {gram:.3e}")
 
 
-@dataclass(frozen=True)
-class ScalarInvariants:
+class ScalarInvariants(NamedTuple):
     """S = sum ||H_a||^2, mean curvature H, and the derived scalars.
 
     S_H / S_I (squared norm of the mean-direction form and of the rest) are
@@ -168,8 +168,7 @@ class ScalarInvariants:
     R_scal: float
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """Certified interval: lo <= K_min <= hi."""
 
     lo: float
@@ -419,16 +418,16 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
 
     lo starts as the smallest eigenvalue of the curvature operator on
     Lambda^2 (K(u, v) is its quadratic form at the unit 2-vector u ^ v); hi is
-    K of an explicit plane, evaluated from the forms.  At n <= 4 both come in
-    closed form: at n = 2 lo is K of the only plane (e1, e2); at n = 3 the
-    bottom eigenvector is a plane; at n = 4 lo rises to Thorpe's bound (see
-    _thorpe) and hi is K of the plane nearest its bottom eigenvector.  At
-    n >= 5 lo stays the operator bound, and hi comes from one batched
-    Riemannian Newton search (_descend_frames, at most NEWTON_ITERS steps) over
-    every coordinate plane, `budget` random orthonormal 2-frames and the
-    plane nearest the bottom eigenvector (at n = 4, the one at Thorpe's
-    maximizer).  The same search closes a closed-form bracket wider than
-    1e-12 max(1, |hi|), which a multiple bottom eigenvalue leaves.
+    K of an explicit plane, evaluated from the forms.  At n = 2 lo is K of the
+    only plane (e1, e2).  At n >= 3 hi is K of the plane nearest the bottom
+    eigenvector, and lo is the operator bound, raised at n = 4 to Thorpe's
+    bound (see _thorpe; the eigenvector is then the one at its maximizer).
+    Only when that bracket is wider than 1e-12 max(1, |hi|) does a search
+    run: at n = 3 and 4 a multiple bottom eigenvalue can leave it open, at
+    n >= 5 any plane not attaining the operator bound.  The search is one
+    batched Riemannian Newton descent (_descend_frames, at most NEWTON_ITERS
+    steps) over every coordinate plane, `budget` random orthonormal 2-frames
+    and the closed-form plane.
     """
     if data.n < 2:
         raise ValueError("sectional curvature needs n >= 2")
@@ -441,7 +440,7 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
     lo, w = _thorpe(op, vals) if data.n == 4 else (float(vals[0]), np.linalg.eigh(op)[1][:, 0])
     closed = [_nearest_plane(w, data.n)]
     hi = float(_frame_values(data, closed[0][None])[0])
-    if data.n <= 4 and hi - lo <= 1e-12 * max(1.0, abs(hi)):
+    if hi - lo <= 1e-12 * max(1.0, abs(hi)):
         return Bracket(lo=lo, hi=max(lo, hi))
 
     eye = np.eye(data.n)

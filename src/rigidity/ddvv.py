@@ -14,7 +14,7 @@ numerically by projected gradient ascent on the Frobenius sphere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .symmat import as_tuple, gram_frame, random_tuple, seed_sequence, signfix
 EQUALITY_RTOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class ExtremalStructure:
+class ExtremalStructure(NamedTuple):
     """Recovered two-matrix equality configuration.
 
     After rotating the tuple by normal_rotation, members 0 and 1 hold the
@@ -42,8 +41,7 @@ class ExtremalStructure:
     match_residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class DdvvReport:
+class DdvvReport(NamedTuple):
     lhs: float
     rhs: float
     ratio: float
@@ -51,8 +49,7 @@ class DdvvReport:
     extremal_structure: ExtremalStructure | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class MaximizeResult:
+class MaximizeResult(NamedTuple):
     """Best tuple, its ratio, and every accepted step's ratio, start by start (start-major)."""
 
     tuple: np.ndarray

@@ -9,7 +9,7 @@ theorems and serve as frozen oracles for the numerical pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +86,7 @@ def pseudo_umbilical_extend(data: FundamentalData, H: float, c: float) -> Fundam
 MODEL_KINDS = ("totally-geodesic", "product-of-spheres", "veronese", "umbilical-sphere")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """Parametrized request for one of the closed-form models."""
 
     kind: str

@@ -10,21 +10,22 @@ data matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import ddvv
-from .curvature import Bracket, FundamentalData, case_terms, kmin_bracket, negligible_trace
 from .symmat import commutes, sgn
+
+# thresholds need no curvature stack (`pinch`, the `check` parser); verdict() imports it
+if TYPE_CHECKING:
+    from .curvature import Bracket, FundamentalData
 
 
 class HypothesisError(ValueError):
     """The data violates a structural hypothesis of the requested theorem."""
 
 
-@dataclass(frozen=True)
-class PinchVerdict:
+class PinchVerdict(NamedTuple):
     theorem: str
     threshold: float
     kmin_bracket: Bracket
@@ -162,6 +163,9 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     number >= 0.  Verdicts are deterministic and invariant under admissible
     frame changes of the data.
     """
+    from . import ddvv
+    from .curvature import case_terms, kmin_bracket, negligible_trace
+
     if which not in THEOREMS:
         raise ValueError(f"unknown theorem {which!r}, expected one of {THEOREMS}")
     if not (np.isfinite(tol) and tol >= 0):

@@ -13,7 +13,7 @@ Phi(a) whose optimal parameter reproduces the classical pinching thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ PARALLEL_MEAN = "parallel-mean"
 CASES = (MINIMAL, PARALLEL_MEAN)
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     """The four trace aggregates over a chosen restriction of normal indices.
 
     T_curv   curvature contraction of the restricted forms,

@@ -1,12 +1,13 @@
 """The K_min bracket at n >= 5: operator bound and a Newton plane search.
 
 lo is the bottom eigenvalue of the curvature operator, from one eigvalsh; hi
-is the best plane of one batched Riemannian Newton search over the coordinate
-planes, the random starts and the plane nearest the operator's bottom
-eigenvector.  The search must converge: at points built like the benchmark's
-n = 6 and n = 8 records it must match a first-order reference run to
-convergence, and at models with a known K_min the bracket must contain it in
-any frame.
+is K of the plane nearest the operator's bottom eigenvector when that closes
+the bracket, and otherwise the best plane of one batched Riemannian Newton
+search over the coordinate planes, the random starts and that plane.  A
+closed bracket must run no search, and the search must converge: at points
+built like the benchmark's n = 6 and n = 8 records it must match a
+first-order reference run to convergence, and at models with a known K_min
+the bracket must contain it in any frame.
 """
 
 import numpy as np
@@ -138,8 +139,34 @@ def test_one_eigvalsh_per_bracket(monkeypatch, n):
     assert len(calls) == 1
 
 
+# Points whose bracket the closed-form plane already closes: hypersurfaces with a simple
+# bottom eigenvalue, whose bottom eigenvector is the plane e_i ^ e_j of two principal
+# directions, and a totally geodesic point, where every plane attains the operator bound.
+CLOSED = [(f"level-n{n}-p1", _level_point(n, 1, 0)) for n in (5, 6, 7, 8)] + [
+    ("geodesic-n6-p2", totally_geodesic(6, 2, -0.5))]
+
+
+@pytest.mark.parametrize("data", [d for _, d in CLOSED], ids=[name for name, _ in CLOSED])
+def test_closed_bracket_runs_no_search(monkeypatch, data):
+    def no_search(*args):
+        raise AssertionError("a closed bracket ran the plane search")
+
+    monkeypatch.setattr(curvature, "_descend_frames", no_search)
+    b = kmin_bracket(data, budget=8, seed=1)
+    scale = 1e-12 * max(1.0, abs(b.hi))
+    assert b.lo <= b.hi <= b.lo + scale
+    lo_ref, hi_ref = reference_kmin_bracket(data, budget=0, seed=0)
+    assert abs(b.lo - lo_ref) <= scale and b.hi <= hi_ref + scale
+    # the forms commute (one form, or all zero), so in their common eigenframe
+    # K_min = c + min_{i<j} sum_a k^a_i k^a_j
+    k = np.linalg.eigvalsh(data.forms)
+    exact = data.c + np.min((k.T @ k)[np.triu_indices(data.n, 1)])
+    assert abs(b.hi - exact) <= scale
+
+
 def test_seed_plane_is_a_start(monkeypatch):
-    data = _level_point(8, 1, 1)
+    # an (8, 2) point: its bottom eigenvector is no plane, so the bracket stays open
+    data = _level_point(8, 2, 1)
     starts = []
     descend = curvature._descend_frames
 

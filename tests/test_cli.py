@@ -19,7 +19,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rigidity import cli, curvature, ddvv, pinching
+from rigidity import cli, curvature, ddvv
 from rigidity.cli import _dump, data_from_dict, data_to_dict, main
 from rigidity.curvature import FundamentalData
 from rigidity.ddvv import evaluate as ddvv_evaluate
@@ -215,8 +215,8 @@ class TestCheckCommand:
             calls.extend(forms)
             return surface_brackets(forms, c)
 
-        for module in (curvature, pinching):
-            monkeypatch.setattr(module, "kmin_bracket", counted)
+        # verdict and cli import kmin_bracket from curvature when they run
+        monkeypatch.setattr(curvature, "kmin_bracket", counted)
         monkeypatch.setattr(curvature, "surface_brackets", counted_surfaces)
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)),
@@ -381,6 +381,24 @@ class TestParseValidation:
         batch.write_text(json.dumps(records))
         code, out, err = run(capsys, *command, str(batch), "--no-timestamp")
         assert (code, out, err) == (4, "", f"error: {batch}{message}\n")
+
+    # what json.load raises beyond JSONDecodeError: a labelled exit 4, not a traceback
+    @pytest.mark.parametrize("content, kind", [
+        (b'{"n": 2, "p": 1, "c": ' + b"1" * 5000 + b', "H_matrices": [[[0, 0], [0, 0]]]}',
+         ValueError),
+        (b'{"n": 2, "p": 1, "c": 1.0, "H_matrices": [[[0, 0], [0, 0]]], "x": "\xff"}',
+         UnicodeDecodeError),
+        (b"[" * 100_000, RecursionError),
+    ], ids=["int-past-4300-digits", "invalid-utf8", "deep-nesting"])
+    @pytest.mark.parametrize("command", [("check",), ("ddvv", "--input")], ids=["check", "ddvv"])
+    def test_undecodable_file_exits_four(self, capsys, tmp_path, command, content, kind):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(kind) as exc, open(path, encoding="utf-8") as fh:
+            json.load(fh)
+        assert type(exc.value) is kind   # no JSONDecodeError, which names a line and column
+        code, out, err = run(capsys, *command, str(path), "--no-timestamp")
+        assert (code, out, err) == (4, "", f"error: {path}: {exc.value}\n")
 
     def test_reports_never_hold_nan(self):
         with pytest.raises(ValueError):
@@ -639,7 +657,8 @@ class TestImportSets:
         (["ddvv", "--maximize", "2", "2", "2", "--iters", "5"], {"ddvv", "symmat"}),
         (["check", "DATA"], {"curvature", "ddvv", "pinching", "symmat"}),
         (["immersion", "--builtin", "graph", "--grid", "1"], {"curvature", "immersion", "symmat"}),
-        (["pinch", "--table", "1", "2"], {"curvature", "ddvv", "pinching", "symmat"}),
+        (["pinch", "--table", "1", "2"], {"pinching", "symmat"}),
+        (["check", "-h"], {"pinching", "symmat"}),
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, runs):
         argv = [write_data(tmp_path / "v.json", veronese(1.0, 0.0)) if a == "DATA" else a
@@ -652,6 +671,18 @@ class TestImportSets:
         code, modules = json.loads(done.stdout.splitlines()[-1])
         assert code == 0
         assert set(modules) - {"rigidity", "rigidity.cli"} <= {f"rigidity.{m}" for m in runs}
+
+    def test_closed_brackets_draw_no_random_starts(self, tmp_path):
+        # a hypersurface point with a simple bottom eigenvalue: its (8, 1) bracket closes in
+        # closed form, so no random start is drawn and numpy.random is never imported
+        data = FundamentalData(n=8, p=1, c=1.0, forms=0.3 * random_tuple(
+            8, 1, np.random.default_rng(3), traceless=True))
+        argv = ["check", write_data(tmp_path / "h.json", data), "--out", str(tmp_path / "out")]
+        script = ("import json, sys\nfrom rigidity import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(json.dumps([code, 'numpy.random' in sys.modules]))")
+        done = run_python(["-c", script], text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [1, False]   # K_min < 0: fails
 
 
 class TestProcessExit:

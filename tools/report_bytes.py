@@ -5,13 +5,17 @@
 Builds the commands of every workload in bench/workloads.py, plus the defect
 probe, at seeds 1-3, runs each one with `python -m rigidity.cli` against each
 root's src/, and lists every command whose exit code, stdout, stderr or output
-file differs.  Exits 1 if any differs, else 0.  The workloads are read from this
-checkout's bench/, which the check never writes; each root runs in its own
-temporary directory.
+file differs.  Where a differing stdout or output file is JSON on both sides,
+up to 5 of its differing leaves follow, each as `path: parent → change`.  Exits
+1 if any command differs, else 0.  The workloads are read from this checkout's
+bench/, which the check never writes; each root runs in its own temporary
+directory.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +27,37 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 PARTS = ("exit code", "stdout", "stderr", "output file")
+FIELDS_SHOWN = 5
+ABSENT = object()   # a key or list item that one side lacks
+
+
+def _leaves(a, b, path: str):
+    """(path, a, b) of every leaf where two decoded JSON values differ, in document order."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            yield from _leaves(a.get(key, ABSENT), b.get(key, ABSENT),
+                               f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            yield from _leaves(a[i] if i < len(a) else ABSENT, b[i] if i < len(b) else ABSENT,
+                               f"{path}[{i}]")
+    elif type(a) is not type(b) or a != b:   # 1 is not 1.0, true is not 1
+        yield path or "(top)", a, b
+
+
+def field_diffs(before: bytes | None, after: bytes | None, limit: int = FIELDS_SHOWN) -> list[str]:
+    """`path: parent → change` for the first `limit` differing leaves of two JSON texts;
+    nothing when either side is missing or is not JSON."""
+    try:
+        a, b = json.loads(before), json.loads(after)
+    except (TypeError, ValueError):
+        return []
+    return [f"{path}: {_shown(x)} → {_shown(y)}"
+            for path, x, y in itertools.islice(_leaves(a, b, ""), limit)]
+
+
+def _shown(value) -> str:
+    return "(absent)" if value is ABSENT else json.dumps(value)
 
 
 def plans(seed: int, workdir: Path):
@@ -67,10 +102,14 @@ def main(argv: list[str]) -> int:
                               for root, side in zip(roots, ("parent", "change")))
         for name, before in parent.items():
             total += 1
-            diff = [part for part, a, b in zip(PARTS, before, change[name]) if a != b]
+            diff = [(part, a, b) for part, a, b in zip(PARTS, before, change[name]) if a != b]
             if diff:
                 differing += 1
-                print(f"{name}: {', '.join(diff)} differ")
+                print(f"{name}: {', '.join(part for part, _, _ in diff)} differ")
+            for part, a, b in diff:
+                if part in ("stdout", "output file"):
+                    for line in field_diffs(a, b):
+                        print(f"  {part} {line}")
     print(f"{differing} of {total} commands differ")
     return 1 if differing else 0
 
