@@ -124,42 +124,24 @@ def _by_group(records, run) -> list:
     return out
 
 
+# A report object is its record's fields in field order; a nested record or array is replaced.
 def bracket_to_dict(b: Bracket) -> dict:
-    return {"lo": b.lo, "hi": b.hi}
+    return b._asdict()
 
 
 def verdict_to_dict(v: PinchVerdict) -> dict:
-    return {
-        "theorem": v.theorem,
-        "threshold": v.threshold,
-        "kmin_bracket": bracket_to_dict(v.kmin_bracket),
-        "status": v.status,
-        "label": v.label,
-        "notes": list(v.notes),
-    }
+    return {**v._asdict(), "kmin_bracket": bracket_to_dict(v.kmin_bracket)}
 
 
 def ddvv_to_dict(report: DdvvReport) -> dict:
-    return {
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "ratio": report.ratio,
-        "equality": report.equality,
-        "extremal_structure": extremal_to_dict(report.extremal_structure),
-    }
+    return {**report._asdict(), "extremal_structure": extremal_to_dict(report.extremal_structure)}
 
 
 def extremal_to_dict(s) -> dict | None:
     if s is None:
         return None
-    return {
-        "active": list(s.active),
-        "mu": s.mu,
-        "normal_rotation": s.normal_rotation.tolist(),
-        "tangent_rotation": s.tangent_rotation.tolist(),
-        "offplane_frac": s.offplane_frac,
-        "match_residual": s.match_residual,
-    }
+    return {**s._asdict(), "normal_rotation": s.normal_rotation.tolist(),
+            "tangent_rotation": s.tangent_rotation.tolist()}
 
 
 def sample_to_dict(s: PointSample) -> dict:
@@ -179,12 +161,11 @@ def record_to_dict(label: str, data: FundamentalData, bracket: Bracket, dd: Ddvv
     status and exit_hint are the worst verdict's."""
     from .pinching import severity
 
-    inv, worst = data.invariants, max(verdicts, key=lambda v: severity(v.status))
+    worst = max(verdicts, key=lambda v: severity(v.status))
     return {
         "input": label,
         "shape": {"n": data.n, "p": data.p, "c": data.c, "mean_index": data.mean_index},
-        "invariants": {"S": inv.S, "H": inv.H, "S_H": inv.S_H, "S_I": inv.S_I,
-                       "R_scal": inv.R_scal},
+        "invariants": data.invariants._asdict(),
         "kmin_bracket": bracket_to_dict(bracket),
         "ddvv": ddvv_to_dict(dd),
         "verdicts": [verdict_to_dict(v) for v in verdicts],
@@ -406,7 +387,7 @@ def cmd_ddvv(args) -> int:
         if _allocate("--maximize", (starts, m, n, n)) is None:  # maximize_ratio's start stack
             return EXIT_USAGE
         result = maximize_ratio(n, m, seed=args.seed, starts=starts, iters=args.iters)
-        structure = detect_equality(result.tuple, tol=1e-6) if result.ratio > 0 else None
+        structure = detect_equality(result.tuple)
         _dump({"mode": "maximize", "n": n, "m": m, "starts": starts,
                "iters": args.iters, "seed": args.seed, "best_ratio": result.ratio,
                "iterations": len(result.history),
@@ -431,8 +412,7 @@ def cmd_model(args) -> int:
               "product-of-spheres": 1}.get(args.kind), args.n, args.n)
     if None not in shape and min(shape) > 0 and _allocate("--n", shape) is None:
         return EXIT_USAGE
-    spec = ModelSpec(kind=args.kind, n=args.n, p=args.p, k=args.k,
-                     c=args.c, H=args.H)
+    spec = ModelSpec(*(getattr(args, f) for f in ModelSpec._fields))
     try:
         data = build_model(spec)
     except ValueError as exc:

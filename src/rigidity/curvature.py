@@ -423,11 +423,11 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
     eigenvector, and lo is the operator bound, raised at n = 4 to Thorpe's
     bound (see _thorpe; the eigenvector is then the one at its maximizer).
     Only when that bracket is wider than 1e-12 max(1, |hi|) does a search
-    run: at n = 3 and 4 a multiple bottom eigenvalue can leave it open, at
-    n >= 5 any plane not attaining the operator bound.  The search is one
-    batched Riemannian Newton descent (_descend_frames, at most NEWTON_ITERS
-    steps) over every coordinate plane, `budget` random orthonormal 2-frames
-    and the closed-form plane.
+    run: at n = 3 (every 2-vector is a plane) only round-off leaves it open,
+    at n = 4 a multiple bottom eigenvalue can, at n >= 5 any plane missing
+    the operator bound.  The search is one batched Riemannian Newton descent
+    (_descend_frames, at most NEWTON_ITERS steps) over every coordinate
+    plane, `budget` random orthonormal 2-frames and the closed-form plane.
     """
     if data.n < 2:
         raise ValueError("sectional curvature needs n >= 2")

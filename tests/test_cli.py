@@ -230,11 +230,15 @@ class TestCheckCommand:
 
 
 class TestReportSchema:
-    """The key order and the verdict summary of a `check` record, pinned."""
+    """The key order of `check` records and `ddvv` reports, and the verdict summary of a
+    `check` record, pinned."""
 
     RECORD_KEYS = ["input", "shape", "invariants", "kmin_bracket", "ddvv", "verdicts",
                    "status", "exit_hint", "timestamp", "elapsed_s"]
     VERDICT_KEYS = ["theorem", "threshold", "kmin_bracket", "status", "label", "notes"]
+    DDVV_KEYS = ["lhs", "rhs", "ratio", "equality", "extremal_structure"]
+    EXTREMAL_KEYS = ["active", "mu", "normal_rotation", "tangent_rotation", "offplane_frac",
+                     "match_residual"]
     MESSAGE = "thm1 requires minimal data: some tr(H_a) is nonzero beyond tolerance"
 
     def check_batch(self, capsys, tmp_path, *theorems):
@@ -254,17 +258,35 @@ class TestReportSchema:
             assert list(record["shape"]) == ["n", "p", "c", "mean_index"]
             assert list(record["invariants"]) == ["S", "H", "S_H", "S_I", "R_scal"]
             assert list(record["kmin_bracket"]) == ["lo", "hi"]
-            assert list(record["ddvv"]) == ["lhs", "rhs", "ratio", "equality",
-                                            "extremal_structure"]
+            assert list(record["ddvv"]) == self.DDVV_KEYS
             for v in record["verdicts"]:
                 assert list(v) == self.VERDICT_KEYS
                 assert list(v["kmin_bracket"]) == ["lo", "hi"]
-        assert list(records[0]["ddvv"]["extremal_structure"]) == [
-            "active", "mu", "normal_rotation", "tangent_rotation", "offplane_frac",
-            "match_residual"]
+        assert list(records[0]["ddvv"]["extremal_structure"]) == self.EXTREMAL_KEYS
         assert records[1]["ddvv"]["extremal_structure"] is None
         assert records[2] == {"input": f"{batch}#2", "error": self.MESSAGE}
         assert err == f"error: {batch}#2: {self.MESSAGE}\n"
+
+    def test_ddvv_input_key_order(self, capsys, tmp_path):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)),
+                                     data_to_dict(product_of_spheres(4, 2))]))
+        code, out, _ = run(capsys, "ddvv", "--input", str(batch), "--no-timestamp")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        for report in reports:
+            assert list(report) == ["input", *self.DDVV_KEYS]
+        assert list(reports[0]["extremal_structure"]) == self.EXTREMAL_KEYS
+        assert reports[1]["extremal_structure"] is None
+
+    def test_ddvv_maximize_key_order(self, capsys):
+        code, out, _ = run(capsys, "ddvv", "--maximize", "2", "2", "4", "--iters", "300",
+                           "--no-timestamp")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == ["mode", "n", "m", "starts", "iters", "seed", "best_ratio",
+                                "iterations", "extremal_structure", "timestamp"]
+        assert list(report["extremal_structure"]) == self.EXTREMAL_KEYS
 
     def test_verdict_summary(self, capsys, tmp_path):
         _, code, records, _ = self.check_batch(capsys, tmp_path, "thm1", "itoh")

@@ -112,6 +112,10 @@ class TestThresholdRationals:
         npt.assert_allclose(threshold_generalized(3, 4, 0.0, 1.0),
                             float(Fraction(2, 6)), rtol=1e-15)
         assert threshold_generalized(2, 4, 0.0, 1.0) == 0.0          # k(1, n) = 0
+        # k (c + H^2) / (2(k+1)) rounds once; thm1's k / (2(k+1)) times c + H^2 rounds twice
+        # and lands one ulp lower here, at a mean-aligned n = 3, p = 3 point with H = 0.5.
+        assert threshold_generalized(3, 3, 1.0, 0.5).hex() == "0x1.aaaaaaaaaaaabp-2"
+        assert (threshold_thm1(2) * 1.25).hex() == "0x1.aaaaaaaaaaaaap-2"
 
     @pytest.mark.parametrize("call", [
         lambda: threshold_thm1(0),

@@ -1,9 +1,11 @@
-"""tools/report_bytes.py's field-level diff of two JSON outputs."""
+"""tools/report_bytes.py: its field-level diff of two JSON outputs, and its command set."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+from rigidity.cli import SUBCOMMANDS
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_bytes.py"
 
@@ -20,7 +22,8 @@ def _load():
     return module
 
 
-field_diffs = _load().field_diffs
+tool = _load()
+field_diffs = tool.field_diffs
 
 
 def _text(obj) -> bytes:
@@ -52,3 +55,10 @@ def test_types_keys_and_the_limit():
 def test_no_fields_without_json_on_both_sides():
     assert field_diffs(b"p,n\n1,2\n", b"p,n\n1,3\n") == []
     assert field_diffs(None, _text({"a": 1})) == []
+
+
+def test_every_subcommand_has_a_command(tmp_path):
+    """Builds the command set without running a command."""
+    names = {cmd.argv[0] for seed in tool.SEEDS
+             for _, _, commands in tool.plans(seed, tmp_path / str(seed)) for cmd in commands}
+    assert set(SUBCOMMANDS) <= names

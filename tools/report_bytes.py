@@ -3,11 +3,12 @@
     python3 tools/report_bytes.py PARENT_ROOT CHANGE_ROOT
 
 Builds the commands of every workload in bench/workloads.py, plus the defect
-probe, at seeds 1-3, runs each one with `python -m rigidity.cli` against each
-root's src/, and lists every command whose exit code, stdout, stderr or output
-file differs.  Where a differing stdout or output file is JSON on both sides,
-up to 5 of its differing leaves follow, each as `path: parent → change`.  Exits
-1 if any command differs, else 0.  The workloads are read from this checkout's
+probe, at seeds 1-3, and once the unseeded `model` and `pinch` commands; runs
+each one with `python -m rigidity.cli` against each root's src/, and lists
+every command whose exit code, stdout, stderr or output file differs.  Where a
+differing stdout or output file is JSON on both sides, up to 5 of its
+differing leaves follow, each as `path: parent → change`.  Exits 1 if any
+command differs, else 0.  The workloads are read from this checkout's
 bench/, which the check never writes; each root runs in its own temporary
 directory.
 """
@@ -29,6 +30,18 @@ SEEDS = (1, 2, 3)
 PARTS = ("exit code", "stdout", "stderr", "output file")
 FIELDS_SHOWN = 5
 ABSENT = object()   # a key or list item that one side lacks
+
+# The subcommands no workload runs, once each: every model kind (one written to --out, one
+# without its --k, which exits 3) and the threshold table.  Without --out there is no file.
+UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
+                              argv[argv.index("--out") + 1] if "--out" in argv else "", 1)
+            for argv in (["model", "totally-geodesic", "--n", "3", "--p", "2"],
+                         ["model", "product-of-spheres", "--n", "5", "--k", "2"],
+                         ["model", "product-of-spheres", "--n", "5"],
+                         ["model", "veronese", "--H", "0.5", "--out", "veronese.json"],
+                         ["model", "umbilical-sphere", "--n", "4", "--p", "2", "--c", "-1",
+                          "--H", "2"],
+                         ["pinch", "--table", "6", "6"])]
 
 
 def _leaves(a, b, path: str):
@@ -61,12 +74,18 @@ def _shown(value) -> str:
 
 
 def plans(seed: int, workdir: Path):
-    """(name, directory, commands) of each workload at seed and of the defect probe; a
-    workload writes its inputs to its own directory, where its commands run."""
-    for name, build in [*workloads.WORKLOADS.items(), ("defect-probe", None)]:
+    """(name, directory, commands) of each workload at seed and of the defect probe, and at
+    the first seed of the unseeded commands; a workload writes its inputs to its own
+    directory, where its commands run."""
+    builds = {name: lambda cwd, build=build: build(seed, cwd).commands
+              for name, build in workloads.WORKLOADS.items()}
+    builds["defect-probe"] = lambda _: workloads.defect_probe_commands()
+    if seed == SEEDS[0]:
+        builds["unseeded"] = lambda _: UNSEEDED
+    for name, commands in builds.items():
         cwd = workdir / name
         cwd.mkdir(parents=True)
-        yield name, cwd, build(seed, cwd).commands if build else workloads.defect_probe_commands()
+        yield name, cwd, commands(cwd)
 
 
 def outcomes(root: Path, seed: int, workdir: Path) -> dict:
@@ -82,7 +101,7 @@ def outcomes(root: Path, seed: int, workdir: Path) -> dict:
             out = cwd / cmd.out
             results[f"seed {seed} {name}: {cmd.name}"] = (
                 done.returncode, done.stdout, done.stderr,
-                out.read_bytes() if out.exists() else None)
+                out.read_bytes() if cmd.out and out.exists() else None)
     return results
 
 
