@@ -12,21 +12,20 @@ records of its batch are still checked.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
-import threading
 import time
-from datetime import datetime, timezone
 from itertools import repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 # Each subcommand imports the package modules it runs, so `ddvv --random` loads
-# ddvv and symmat, not all eight.
+# ddvv and symmat, not all eight; numpy, json, threading and datetime load only in a handler
+# that computes, after its argument checks, so `pinch`, help and usage errors skip them.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .curvature import Bracket, FundamentalData
     from .ddvv import DdvvReport
     from .immersion import PointSample
@@ -84,6 +83,8 @@ def _data_from_dicts(objs) -> list[FundamentalData]:
 
 def _fields(obj) -> SimpleNamespace:
     """n, p, c, forms and mean_index of one FundamentalData payload, each field checked."""
+    import numpy as np
+
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("n", "p", "c", "H_matrices"):
@@ -113,6 +114,8 @@ def _fields(obj) -> SimpleNamespace:
 def _by_group(records, run) -> list:
     """One result per record, from run(first, forms) once per shape group: the records sharing
     n, p, repr(c) (-0.0 is not 0.0) and mean_index, their forms as one (R, p, n, n) stack."""
+    import numpy as np
+
     groups: dict = {}
     for k, record in enumerate(records):
         groups.setdefault((record.n, record.p, repr(record.c), record.mean_index), []).append(k)
@@ -177,14 +180,20 @@ def record_to_dict(label: str, data: FundamentalData, bracket: Bracket, dd: Ddvv
 
 
 def _dump(obj, out_path: str | None) -> None:
+    import json
+
     _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", out_path)
 
 
 def _write(text: str, out_path: str | None) -> None:
-    """Write text to the --out file, or to stdout when there is none."""
+    """Write text to the --out file, or to stdout when there is none; a file that cannot be
+    written is a ParseFailure naming it."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseFailure(f"{out_path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -197,6 +206,8 @@ def load_inputs(path: str) -> list[tuple[str, FundamentalData]]:
     Accepts one FundamentalData object, a list of them, or a list of point
     samples (objects carrying a "data" field) as written by `immersion`.
     """
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:  # JSON is UTF-8, whatever the locale
             payload = json.load(fh)
@@ -222,7 +233,8 @@ def load_inputs(path: str) -> list[tuple[str, FundamentalData]]:
 
 
 class ParseFailure(Exception):
-    """Input file could not be understood; maps to exit code 4."""
+    """An input file could not be read or understood, or the --out file could not be
+    written; maps to exit code 4."""
 
 
 # -- subcommands ----------------------------------------------------------
@@ -235,6 +247,8 @@ def _usage(message: str) -> int:
 def _timestamp(args) -> str | None:
     if args.no_timestamp:
         return None
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -274,7 +288,7 @@ def cmd_check(args) -> int:
         return _usage("--budget must be >= 0")
     if args.seed < 0:
         return _usage("--seed must be >= 0")
-    if not (np.isfinite(args.tol) and args.tol >= 0):
+    if not (math.isfinite(args.tol) and args.tol >= 0):
         return _usage("--tol must be a finite number >= 0")
     if args.jobs < 1:
         return _usage("--jobs must be >= 1")
@@ -310,6 +324,10 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
     so the stream, and every bit of the result, is a serial sweep's.  The helper calls
     numpy only, its exception re-raises here, and it is joined before this returns.
     """
+    import threading
+
+    import numpy as np
+
     from .ddvv import ratio_terms
 
     draws, tuples = buffers[:2], buffers[2]
@@ -355,6 +373,8 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
 def _allocate(flag: str, shape: tuple) -> np.ndarray | None:
     """np.empty(shape), or None after one error line when numpy refuses the size the flag's
     arguments ask for: past the index range, or more than the system maps."""
+    import numpy as np
+
     try:
         return np.empty(shape)
     except (ValueError, MemoryError) as exc:
@@ -372,6 +392,8 @@ def cmd_ddvv(args) -> int:
         buffers = _allocate("--random", (3, min(SWEEP_BATCH, trials) * m, n, n))
         if buffers is None:
             return EXIT_USAGE
+        import numpy as np
+
         best, violations = _random_sweep(np.random.default_rng(args.seed), buffers,
                                          n, m, trials)
         _dump({"mode": "random", "n": n, "m": m, "trials": trials,
@@ -379,11 +401,11 @@ def cmd_ddvv(args) -> int:
                "timestamp": _timestamp(args)}, args.out)
         return EXIT_OK if violations == 0 else EXIT_FAILS
     if args.maximize:
-        from .ddvv import detect_equality, maximize_ratio
-
         n, m, starts = args.maximize
         if n < 1 or m < 1 or starts < 1 or args.iters < 0:
             return _usage("--maximize needs positive n, m, starts; --iters >= 0")
+        from .ddvv import detect_equality, maximize_ratio
+
         if _allocate("--maximize", (starts, m, n, n)) is None:  # maximize_ratio's start stack
             return EXIT_USAGE
         result = maximize_ratio(n, m, seed=args.seed, starts=starts, iters=args.iters)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .symmat import commutes, sgn
-
-# thresholds need no curvature stack (`pinch`, the `check` parser); verdict() imports it
+# thresholds need neither numpy nor the curvature stack (`pinch`, the `check` parser);
+# verdict() and its predicates import them where they run
 if TYPE_CHECKING:
+    import numpy as np
+
     from .curvature import Bracket, FundamentalData
 
 
@@ -35,6 +34,16 @@ class PinchVerdict(NamedTuple):
 
 
 # -- thresholds ---------------------------------------------------------------
+
+def sgn(x) -> int:
+    """Standard sign: -1, 0, or +1 (sgn(0) = 0)."""
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+
+
 # Each is a single integer division (plus a sign / ambient factor) so the
 # floats agree bit-for-bit with the correctly rounded rational value.
 
@@ -92,18 +101,24 @@ def threshold_generalized(p: int, n: int, c: float, H: float) -> float:
 # -- structural predicates ----------------------------------------------------
 
 def _is_pseudo_umbilical(data: FundamentalData, tol: float) -> bool:
+    import numpy as np
+
     hm = data.forms[data.mean_index]
     scalar = (data.traces[data.mean_index] / data.n) * np.eye(data.n)
     return bool(np.max(np.abs(hm - scalar)) <= tol * max(1.0, float(np.max(np.abs(hm)))))
 
 
 def _mean_commutes(data: FundamentalData, tol: float) -> bool:
+    from .symmat import commutes
+
     hm = data.forms[data.mean_index]
     return all(commutes(hm, data.forms[i], tol) for i in data.non_mean_indices())
 
 
 def _two_eigenvalue_product(form: np.ndarray, ambient: float, tol: float) -> bool:
     """diag(lam I_k, mu I_(n-k)) pattern with lam * mu = -ambient."""
+    import numpy as np
+
     vals = np.linalg.eigvalsh(form)
     scale = max(1.0, float(np.max(np.abs(vals))))
     lo, hi = vals[0], vals[-1]
@@ -163,6 +178,8 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     number >= 0.  Verdicts are deterministic and invariant under admissible
     frame changes of the data.
     """
+    import numpy as np
+
     from . import ddvv
     from .curvature import case_terms, kmin_bracket, negligible_trace
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curvature import FundamentalData, case_terms, riemann
 from .ddvv import commutator_energy
-from .symmat import sgn
+from .pinching import sgn
 
 MINIMAL = "minimal"
 PARALLEL_MEAN = "parallel-mean"

@@ -133,15 +133,6 @@ def gram_frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(vals, order, axis=-1), np.swapaxes(q, -1, -2)
 
 
-def sgn(x) -> int:
-    """Standard sign: -1, 0, or +1 (sgn(0) = 0)."""
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 # -- seeded random instances --------------------------------------------------
 
 def seed_sequence(seed) -> np.random.SeedSequence:

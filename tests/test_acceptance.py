@@ -29,6 +29,7 @@ from rigidity.ddvv import (
 from rigidity.immersion import builtin, second_fundamental_form
 from rigidity.models import totally_geodesic, umbilical_sphere, veronese
 from rigidity.pinching import (
+    sgn,
     threshold_generalized,
     threshold_itoh,
     threshold_thm1,
@@ -45,7 +46,7 @@ from rigidity.simons import (
     optimal_parameter,
     s2_coefficient,
 )
-from rigidity.symmat import random_tuple, sgn
+from rigidity.symmat import random_tuple
 
 from conftest import make_minimal, make_pseudo_umbilical
 

@@ -7,6 +7,7 @@ strips wall-clock fields.
 """
 
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -422,6 +423,22 @@ class TestParseValidation:
         code, out, err = run(capsys, *command, str(path), "--no-timestamp")
         assert (code, out, err) == (4, "", f"error: {path}: {exc.value}\n")
 
+    # a missing directory and a directory: each subcommand names the --out path and exits 4
+    @pytest.mark.parametrize("argv", [
+        ("check", "DATA"),
+        ("ddvv", "--random", "2", "2", "10"),
+        ("model", "veronese"),
+        ("immersion", "--builtin", "graph", "--grid", "1"),
+        ("pinch", "--table", "1", "2"),
+    ], ids=["check", "ddvv", "model", "immersion", "pinch"])
+    def test_unwritable_out_exits_four(self, capsys, tmp_path, argv):
+        argv = [write_data(tmp_path / "v.json", veronese(1.0, 0.0)) if a == "DATA" else a
+                for a in argv]
+        for out, reason in ((tmp_path / "missing" / "out", os.strerror(errno.ENOENT)),
+                            (tmp_path, os.strerror(errno.EISDIR))):
+            code, printed, err = run(capsys, *argv, "--out", str(out))
+            assert (code, printed, err) == (4, "", f"error: {out}: {reason}\n")
+
     def test_reports_never_hold_nan(self):
         with pytest.raises(ValueError):
             _dump({"lo": float("nan")}, None)
@@ -679,8 +696,8 @@ class TestImportSets:
         (["ddvv", "--maximize", "2", "2", "2", "--iters", "5"], {"ddvv", "symmat"}),
         (["check", "DATA"], {"curvature", "ddvv", "pinching", "symmat"}),
         (["immersion", "--builtin", "graph", "--grid", "1"], {"curvature", "immersion", "symmat"}),
-        (["pinch", "--table", "1", "2"], {"pinching", "symmat"}),
-        (["check", "-h"], {"pinching", "symmat"}),
+        (["pinch", "--table", "1", "2"], {"pinching"}),
+        (["check", "-h"], {"pinching"}),
     ])
     def test_subcommand_loads_only_what_it_runs(self, tmp_path, argv, runs):
         argv = [write_data(tmp_path / "v.json", veronese(1.0, 0.0)) if a == "DATA" else a
@@ -693,6 +710,26 @@ class TestImportSets:
         code, modules = json.loads(done.stdout.splitlines()[-1])
         assert code == 0
         assert set(modules) - {"rigidity", "rigidity.cli"} <= {f"rigidity.{m}" for m in runs}
+
+    # numpy loads only in a handler that computes, after its argument checks
+    @pytest.mark.parametrize("argv, code, runs", [
+        (["pinch", "--table", "1", "2"], 0, {"pinching"}),
+        (["check", "-h"], 0, {"pinching"}),
+        (["ddvv", "-h"], 0, set()),
+        (["check"], 5, {"pinching"}),
+        (["check", "x.json", "--budget", "-1"], 5, {"pinching"}),
+        (["ddvv", "--random", "0", "1", "1"], 5, set()),
+        (["ddvv", "--maximize", "2", "2", "0"], 5, set()),
+    ], ids=["pinch", "check-help", "ddvv-help", "check-no-input", "check-budget",
+            "ddvv-random", "ddvv-maximize"])
+    def test_no_numpy_without_compute(self, argv, code, runs):
+        script = ("import json, sys\nfrom rigidity import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(json.dumps([code, 'numpy' in sys.modules, sorted(m for m in"
+                  " sys.modules if m.split('.')[0] == 'rigidity')]))")
+        done = run_python(["-c", script], text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [
+            code, False, sorted({"rigidity", "rigidity.cli"} | {f"rigidity.{m}" for m in runs})]
 
     def test_closed_brackets_draw_no_random_starts(self, tmp_path):
         # a hypersurface point with a simple bottom eigenvalue: its (8, 1) bracket closes in

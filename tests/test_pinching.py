@@ -32,6 +32,7 @@ from rigidity.pinching import (
     HypothesisError,
     k_mn,
     severity,
+    sgn,
     threshold_generalized,
     threshold_itoh,
     threshold_thm1,
@@ -40,7 +41,7 @@ from rigidity.pinching import (
     verdict,
 )
 from rigidity.simons import MINIMAL, PARALLEL_MEAN, laplacian_bound, optimal_parameter
-from rigidity.symmat import random_tuple, rotate_tuple, sgn
+from rigidity.symmat import random_tuple, rotate_tuple
 
 # the indeterminate fixture: a seed-1 traceless n = 5 tuple scaled so the p=3
 # threshold 3/8 sits halfway between the curvature-operator bound lo = 0.3713

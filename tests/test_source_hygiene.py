@@ -140,7 +140,7 @@ def test_checks_catch_what_they_claim():
               "def f(x: np.ndarray) -> int:\n    return b(x)\n")
     assert unused_imports(source) == ["os"]
     assert unresolved_all(source) == ["gone"]
-    lazy = ("_LAZY = {'sgn': 'symmat', 'nowhere': 'symmat', 'c': 'symmat'}\n"
+    lazy = ("_LAZY = {'signfix': 'symmat', 'nowhere': 'symmat', 'c': 'symmat'}\n"
             "__all__ = list(_LAZY)\n")
     assert unresolved_all(lazy) == ["nowhere", "c"]
 

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_orthogonal
+from rigidity.pinching import sgn
 from rigidity.symmat import (
     as_tuple,
     commutator,
@@ -18,7 +19,6 @@ from rigidity.symmat import (
     frob_norm_sq,
     random_tuple,
     rotate_tuple,
-    sgn,
     symmetrize,
 )
 
