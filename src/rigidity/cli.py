@@ -312,7 +312,7 @@ def cmd_check(args) -> int:
     return max((r.get("exit_hint", EXIT_HYPOTHESIS) for r in records), default=EXIT_OK)
 
 
-SWEEP_BATCH = 2048   # tuples per batch of the --random sweep
+SWEEP_BYTES = 1 << 19   # bytes per draw buffer of the --random sweep: one batch of tuples
 
 
 def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tuple[float, int]:
@@ -320,9 +320,10 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
 
     A helper thread draws batch k + 1 into one of the two draw buffers, buffers[:2], while
     this thread symmetrizes batch k into buffers[2] and evaluates it; both spend their
-    time in numpy loops that release the GIL.  Batches are drawn and consumed in order,
-    so the stream, and every bit of the result, is a serial sweep's.  The helper calls
-    numpy only, its exception re-raises here, and it is joined before this returns.
+    time in numpy loops that release the GIL.  A batch fills a buffer, len(buffers[0]) // m
+    tuples.  Batches are drawn and consumed in order, so the stream, and every bit of the
+    result, is a serial sweep's at any batch size.  The helper calls numpy only, its
+    exception re-raises here, and it is joined before this returns.
     """
     import threading
 
@@ -331,7 +332,8 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
     from .ddvv import ratio_terms
 
     draws, tuples = buffers[:2], buffers[2]
-    starts = range(0, trials, SWEEP_BATCH)
+    size = len(tuples) // m
+    starts = range(0, trials, size)
     free, filled = threading.Semaphore(2), threading.Semaphore(0)   # draw buffers in each state
     stop, failure = threading.Event(), []
 
@@ -341,7 +343,7 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
                 free.acquire()
                 if stop.is_set():
                     return
-                rng.standard_normal(out=draws[k % 2, : min(SWEEP_BATCH, trials - done) * m])
+                rng.standard_normal(out=draws[k % 2, : min(size, trials - done) * m])
                 filled.release()
         except BaseException as exc:  # handed to the sweep, which raises it
             failure.append(exc)
@@ -352,7 +354,7 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
     best, violations = 0.0, 0
     try:
         for k, done in enumerate(starts):
-            batch = min(SWEEP_BATCH, trials - done)
+            batch = min(size, trials - done)
             filled.acquire()
             if failure:
                 raise failure[0]
@@ -389,7 +391,8 @@ def cmd_ddvv(args) -> int:
         n, m, trials = args.random
         if n < 1 or m < 1 or trials < 1:
             return _usage("--random needs positive n, m, trials")
-        buffers = _allocate("--random", (3, min(SWEEP_BATCH, trials) * m, n, n))
+        size = max(1, SWEEP_BYTES // (8 * m * n * n))   # tuples per batch
+        buffers = _allocate("--random", (3, min(size, trials) * m, n, n))
         if buffers is None:
             return EXIT_USAGE
         import numpy as np

@@ -83,7 +83,11 @@ def pseudo_umbilical_extend(data: FundamentalData, H: float, c: float) -> Fundam
     return FundamentalData(n=data.n, p=data.p + 1, c=c, forms=forms, mean_index=0)
 
 
-MODEL_KINDS = ("totally-geodesic", "product-of-spheres", "veronese", "umbilical-sphere")
+# the sizes each kind needs, and the only ones it reads; veronese and umbilical-sphere
+# alone read H
+_SIZES = {"totally-geodesic": ("n", "p"), "product-of-spheres": ("n", "k"),
+          "veronese": (), "umbilical-sphere": ("n", "p")}
+MODEL_KINDS = tuple(_SIZES)
 
 
 class ModelSpec(NamedTuple):
@@ -98,18 +102,22 @@ class ModelSpec(NamedTuple):
 
 
 def build_model(spec: ModelSpec) -> FundamentalData:
+    """The model spec asks for; a ValueError names a size its kind needs and lacks, or a
+    field set that its kind does not read: n, p or k, or a nonzero H."""
+    sizes = _SIZES.get(spec.kind)
+    if sizes is None:
+        raise ValueError(f"unknown model kind {spec.kind!r} (expected one of {MODEL_KINDS})")
+    if any(getattr(spec, f) is None for f in sizes):
+        raise ValueError(f"{spec.kind} needs {' and '.join(sizes)}")
+    unused = [f for f in ("n", "p", "k") if f not in sizes and getattr(spec, f) is not None]
+    if spec.H != 0 and spec.kind in ("totally-geodesic", "product-of-spheres"):
+        unused.append("H")
+    if unused:
+        raise ValueError(f"{spec.kind} does not take {', '.join(unused)}")
     if spec.kind == "totally-geodesic":
-        if spec.n is None or spec.p is None:
-            raise ValueError("totally-geodesic needs n and p")
         return totally_geodesic(spec.n, spec.p, spec.c)
     if spec.kind == "product-of-spheres":
-        if spec.n is None or spec.k is None:
-            raise ValueError("product-of-spheres needs n and k")
         return product_of_spheres(spec.n, spec.k, spec.c)
     if spec.kind == "veronese":
         return veronese(spec.c, spec.H)
-    if spec.kind == "umbilical-sphere":
-        if spec.n is None or spec.p is None:
-            raise ValueError("umbilical-sphere needs n and p")
-        return umbilical_sphere(spec.n, spec.p, spec.c, spec.H)
-    raise ValueError(f"unknown model kind {spec.kind!r} (expected one of {MODEL_KINDS})")
+    return umbilical_sphere(spec.n, spec.p, spec.c, spec.H)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -556,6 +557,13 @@ class TestModelCommand:
         assert code == 3
         assert "error:" in err
 
+    def test_unused_field_is_rejected(self, capsys, tmp_path):
+        report = tmp_path / "model.json"
+        code, out, err = run(capsys, "model", "veronese", "--n", "3", "--p", "7", "--k", "2",
+                             "--out", str(report))
+        assert code == 3 and out == "" and not report.exists()
+        assert err == "error: veronese does not take n, p, k\n"
+
     # sizes numpy refuses before touching memory: 711 PiB, past the index range, 213 PiB
     @pytest.mark.parametrize("argv", [
         ("totally-geodesic", "--n", "100000000", "--p", "10"),
@@ -872,14 +880,14 @@ class TestSharedKernelsInCli:
 
     # On seeds 0, 2 and 3 an einsum reduction of the energy differs from the shared
     # kernel's pairwise sum in the last bit, so a second copy in the CLI shows.  The
-    # trial counts around cli.SWEEP_BATCH hold the overlapped batches and the tail
-    # batch to one serial draw.
+    # trial counts around a batch (2,048 tuples at n = 4, m = 2; 91 at n = 12, m = 5)
+    # hold the overlapped batches and the tail batch to one serial draw.
     @pytest.mark.parametrize("seed, n, m, trials", [
         (0, 3, 2, 50), (2, 3, 2, 50), (3, 3, 2, 50),
-        (0, 3, 2, 1), (4, 3, 2, 2047), (5, 3, 2, 2048), (6, 3, 2, 2049), (7, 3, 3, 5000),
-        (8, 1, 3, 300), (9, 3, 1, 300),
+        (0, 3, 2, 1), (4, 4, 2, 2047), (5, 4, 2, 2048), (6, 4, 2, 2049), (7, 3, 3, 5000),
+        (8, 1, 3, 300), (9, 3, 1, 300), (10, 12, 5, 300),
     ], ids=["0", "2", "3", "trials1", "trials2047", "trials2048", "trials2049", "trials5000",
-            "n1", "m1"])
+            "n1", "m1", "n12m5"])
     def test_random_sweep_uses_the_shared_energy(self, capsys, seed, n, m, trials):
         code, out, _ = run(capsys, "ddvv", "--random", str(n), str(m), str(trials),
                            "--seed", str(seed), "--no-timestamp")
@@ -903,16 +911,28 @@ class TestSharedKernelsInCli:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            code, out, _ = run(capsys, "ddvv", "--random", "2", "2", "10000", "--seed", "11",
+            code, out, _ = run(capsys, "ddvv", "--random", "4", "2", "10000", "--seed", "11",
                                "--no-timestamp")
         finally:
             sys.setswitchinterval(interval)
         assert code == 0
-        g = np.random.default_rng(11).normal(size=(10000, 2, 2, 2))
+        g = np.random.default_rng(11).normal(size=(10000, 2, 4, 4))
         tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
         assert [len(t) for t in seen] == [2048] * 4 + [1808]
         npt.assert_array_equal(np.concatenate(seen), tuples)
         assert json.loads(out)["max_ratio"] == np.max(ddvv_ratio_terms(tuples)[2])
+
+    def test_random_sweep_memory_is_bounded(self, capsys):
+        # a batch fills a cli.SWEEP_BYTES buffer whatever the tuple size: 64 tuples here,
+        # where 1,024 would hold 8 MiB in each of the three buffers
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "ddvv", "--random", "16", "4", "1024", "--no-timestamp")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("stage", ["draw", "evaluate"])
     def test_random_sweep_failure_reaches_the_caller(self, capsys, monkeypatch, stage):

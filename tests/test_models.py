@@ -144,3 +144,18 @@ class TestBuildModel:
     def test_missing_parameters(self, spec):
         with pytest.raises(ValueError):
             build_model(spec)
+
+    # a field the kind does not read would be dropped from the data without a word
+    @pytest.mark.parametrize("spec, field", [
+        (ModelSpec(kind="veronese", n=3), "n"),
+        (ModelSpec(kind="veronese", n=3, p=7, k=2), "n, p, k"),
+        (ModelSpec(kind="product-of-spheres", n=4, k=2, p=5), "p"),
+        (ModelSpec(kind="product-of-spheres", n=4, k=2, H=0.5), "H"),
+        (ModelSpec(kind="totally-geodesic", n=3, p=2, k=1), "k"),
+        (ModelSpec(kind="totally-geodesic", n=3, p=2, H=0.5), "H"),
+        (ModelSpec(kind="umbilical-sphere", n=3, p=2, k=1), "k"),
+    ], ids=["veronese-n", "veronese-npk", "product-p", "product-H", "geodesic-k",
+            "geodesic-H", "umbilical-k"])
+    def test_unused_parameters(self, spec, field):
+        with pytest.raises(ValueError, match=f"^{spec.kind} does not take {field}$"):
+            build_model(spec)

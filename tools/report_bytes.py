@@ -3,14 +3,14 @@
     python3 tools/report_bytes.py PARENT_ROOT CHANGE_ROOT
 
 Builds the commands of every workload in bench/workloads.py, plus the defect
-probe, at seeds 1-3, and once the unseeded `model` and `pinch` commands; runs
-each one with `python -m rigidity.cli` against each root's src/, and lists
-every command whose exit code, stdout, stderr or output file differs.  Where a
-differing stdout or output file is JSON on both sides, up to 5 of its
-differing leaves follow, each as `path: parent → change`.  Exits 1 if any
-command differs, else 0.  The workloads are read from this checkout's
-bench/, which the check never writes; each root runs in its own temporary
-directory.
+probe, at seeds 1-3, and once the unseeded `model`, `pinch` and large-tuple
+`ddvv --random` commands; runs each one with `python -m rigidity.cli` against
+each root's src/, and lists every command whose exit code, stdout, stderr or
+output file differs.  Where a differing stdout or output file is JSON on both
+sides, up to 5 of its differing leaves follow, each as
+`path: parent → change`.  Exits 1 if any command differs, else 0.  The
+workloads are read from this checkout's bench/, which the check never writes;
+each root runs in its own temporary directory.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ FIELDS_SHOWN = 5
 ABSENT = object()   # a key or list item that one side lacks
 
 # The subcommands no workload runs, once each: every model kind (one written to --out, one
-# without its --k, which exits 3) and the threshold table.  Without --out there is no file.
+# without its --k, which exits 3) and the threshold table; and a sweep of large (5, 12, 12)
+# tuples, which spans several of the batches the sweep sizes by bytes.  Without --out there
+# is no file.
 UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                               argv[argv.index("--out") + 1] if "--out" in argv else "", 1)
             for argv in (["model", "totally-geodesic", "--n", "3", "--p", "2"],
@@ -41,7 +43,8 @@ UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                          ["model", "veronese", "--H", "0.5", "--out", "veronese.json"],
                          ["model", "umbilical-sphere", "--n", "4", "--p", "2", "--c", "-1",
                           "--H", "2"],
-                         ["pinch", "--table", "6", "6"])]
+                         ["pinch", "--table", "6", "6"],
+                         ["ddvv", "--random", "12", "5", "300", "--seed", "1", "--no-timestamp"])]
 
 
 def _leaves(a, b, path: str):
