@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from itertools import repeat
+from itertools import islice, repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -179,23 +179,31 @@ def record_to_dict(label: str, data: FundamentalData, bracket: Bracket, dd: Ddvv
     }
 
 
+DUMP_BLOCK = 4096   # encoder chunks joined per block of a written report
+
+
 def _dump(obj, out_path: str | None) -> None:
+    """Write obj as `json.dumps(obj, indent=2, allow_nan=False)` and a newline, from blocks of
+    encoder chunks: never held twice, and all encoded before the first write."""
     import json
 
-    _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", out_path)
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(obj)
+    blocks = ["".join(block) for block in iter(lambda: list(islice(chunks, DUMP_BLOCK)), [])]
+    blocks.append("\n")
+    _write(blocks, out_path)
 
 
-def _write(text: str, out_path: str | None) -> None:
-    """Write text to the --out file, or to stdout when there is none; a file that cannot be
-    written is a ParseFailure naming it."""
+def _write(blocks: list[str], out_path: str | None) -> None:
+    """Write the blocks in order to the --out file, or to stdout when there is none; a file
+    that cannot be written is a ParseFailure naming it."""
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise ParseFailure(f"{out_path}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 # -- input loading ---------------------------------------------------------
@@ -477,7 +485,7 @@ def cmd_pinch(args) -> int:
                      threshold_thm2(p, 1.0, 0.0), threshold_generalized(p, n, 1.0, 0.0),
                      threshold_generalized(p, n, 0.0, 1.0))
             lines.append(",".join([str(p), str(n), *map(repr, cells)]))
-    _write("\n".join(lines) + "\n", args.out)
+    _write(["\n".join(lines) + "\n"], args.out)
     return EXIT_OK
 
 
@@ -586,6 +594,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.out == "":   # every subcommand has --out; an empty one would mean stdout
+        return _usage("--out must name a file")
     try:
         return args.func(args)
     except ParseFailure as exc:

@@ -112,6 +112,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             data_from_dict(payload)
 
+    # a list of k numbers encodes as k + 2 chunks: one below, at and one above two blocks
+    @pytest.mark.parametrize("obj,chunks", [
+        *((list(range(2 * cli.DUMP_BLOCK - 2 + d)), 2 * cli.DUMP_BLOCK + d) for d in (-1, 0, 1)),
+        ([], 1), ({}, 1), ({"a": [], "b": {}, "c": [{}, []]}, 20), (0.1, 1), (None, 1),
+        ("Veronese ∮ Σ² 𝔖", 1),
+    ], ids=["block-1", "block", "block+1", "list", "dict", "nested-empty", "float", "null",
+            "non-ascii"])
+    def test_dump_is_json_dumps(self, capsys, tmp_path, obj, chunks):
+        encoder = json.JSONEncoder(indent=2, allow_nan=False)
+        assert len(list(encoder.iterencode(obj))) == chunks
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        _dump(obj, None)
+        assert capsys.readouterr().out == text
+        _dump(obj, str(tmp_path / "out.json"))
+        assert (tmp_path / "out.json").read_text() == text
+
 
 class TestCheckCommand:
     def test_boundary_model_exits_zero(self, capsys, tmp_path):
@@ -440,9 +456,38 @@ class TestParseValidation:
             code, printed, err = run(capsys, *argv, "--out", str(out))
             assert (code, printed, err) == (4, "", f"error: {out}: {reason}\n")
 
-    def test_reports_never_hold_nan(self):
-        with pytest.raises(ValueError):
-            _dump({"lo": float("nan")}, None)
+    # all or nothing: a NaN or an unencodable value, at the top or past two blocks, writes no
+    # stdout byte, leaves an existing --out file's bytes, creates no file and leaves no other
+    def test_reports_never_hold_nan(self, capsys, tmp_path):
+        existing = tmp_path / "existing.json"
+        existing.write_bytes(b'{"kept": true}\n')
+        for bad, kind in ((float("nan"), ValueError), (object(), TypeError)):
+            for report in ({"lo": bad}, [*range(2 * cli.DUMP_BLOCK), bad]):
+                for out in (None, existing, tmp_path / "missing.json"):
+                    with pytest.raises(kind):
+                        _dump(report, None if out is None else str(out))
+                    assert capsys.readouterr().out == ""
+                    assert existing.read_bytes() == b'{"kept": true}\n'
+                    assert os.listdir(tmp_path) == ["existing.json"]
+
+    @pytest.mark.parametrize("argv", [("model", "veronese"), ("pinch", "--table", "1", "2")],
+                             ids=["model", "pinch"])
+    def test_out_dev_null_exits_zero(self, capsys, argv):
+        assert run(capsys, *argv, "--out", os.devnull) == (0, "", "")
+
+    # before any input is read: a missing input would exit 4
+    @pytest.mark.parametrize("argv", [
+        ("check", "MISSING"),
+        ("ddvv", "--input", "MISSING"),
+        ("model", "veronese"),
+        ("immersion", "--builtin", "graph", "--grid", "1"),
+        ("pinch", "--table", "1", "2"),
+    ], ids=["check", "ddvv", "model", "immersion", "pinch"])
+    def test_empty_out_is_a_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert (code, out, err) == (5, "", "error: --out must name a file\n")
+        assert os.listdir(tmp_path) == []
 
     # finite entries whose S^2 overflows, and n(n-1)c past the float range at n = 3
     @pytest.mark.parametrize("command", [("check",), ("ddvv", "--input")], ids=["check", "ddvv"])
@@ -621,6 +666,19 @@ class TestImmersionCommand:
         records = json.loads(out)["records"]
         assert len(records) == 256
         assert all("error" not in r for r in records)
+
+    def test_report_memory_is_bounded(self, tmp_path):
+        # the 3.3 MB report of 2,304 samples is written from blocks of encoder chunks, never
+        # whole: about 12 MiB here, where the whole string and its chunk list held 26 MiB
+        tracemalloc.start()
+        try:
+            code = main(["immersion", "--builtin", "veronese", "--grid", "48",
+                         "--out", str(tmp_path / "samples.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
 
     def test_check_consumes_immersion_output(self, capsys, tmp_path):
         out_file = tmp_path / "samples.json"

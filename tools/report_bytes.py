@@ -3,10 +3,10 @@
     python3 tools/report_bytes.py PARENT_ROOT CHANGE_ROOT
 
 Builds the commands of every workload in bench/workloads.py, plus the defect
-probe, at seeds 1-3, and once the unseeded `model`, `pinch` and large-tuple
-`ddvv --random` commands; runs each one with `python -m rigidity.cli` against
-each root's src/, and lists every command whose exit code, stdout, stderr or
-output file differs.  Where a differing stdout or output file is JSON on both
+probe, at seeds 1-3, and once the unseeded `model`, `pinch`, large-tuple
+`ddvv --random`, 144-sample `immersion` and `check` commands; runs each one
+with `python -m rigidity.cli` against each root's src/, and lists every
+command whose exit code, stdout, stderr or output file differs.  Where a differing stdout or output file is JSON on both
 sides, up to 5 of its differing leaves follow, each as
 `path: parent → change`.  Exits 1 if any command differs, else 0.  The
 workloads are read from this checkout's bench/, which the check never writes;
@@ -33,8 +33,10 @@ ABSENT = object()   # a key or list item that one side lacks
 
 # The subcommands no workload runs, once each: every model kind (one written to --out, one
 # without its --k, which exits 3) and the threshold table; and a sweep of large (5, 12, 12)
-# tuples, which spans several of the batches the sweep sizes by bytes.  Without --out there
-# is no file.
+# tuples, which spans several of the batches the sweep sizes by bytes; and a 144-sample
+# immersion and a check of it, each a report of several write blocks on stdout, where the
+# workloads write theirs to --out.  Commands run in order, so the check reads the samples the
+# immersion before it wrote.  Without --out there is no file.
 UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                               argv[argv.index("--out") + 1] if "--out" in argv else "", 1)
             for argv in (["model", "totally-geodesic", "--n", "3", "--p", "2"],
@@ -44,7 +46,11 @@ UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                          ["model", "umbilical-sphere", "--n", "4", "--p", "2", "--c", "-1",
                           "--H", "2"],
                          ["pinch", "--table", "6", "6"],
-                         ["ddvv", "--random", "12", "5", "300", "--seed", "1", "--no-timestamp"])]
+                         ["ddvv", "--random", "12", "5", "300", "--seed", "1", "--no-timestamp"],
+                         ["immersion", "--builtin", "veronese", "--grid", "12"],
+                         ["immersion", "--builtin", "veronese", "--grid", "12",
+                          "--out", "samples.json"],
+                         ["check", "samples.json", "--no-timestamp"])]
 
 
 def _leaves(a, b, path: str):
