@@ -195,15 +195,15 @@ def _dump(obj, out_path: str | None) -> None:
 
 def _write(blocks: list[str], out_path: str | None) -> None:
     """Write the blocks in order to the --out file, or to stdout when there is none; a file
-    that cannot be written is a ParseFailure naming it."""
-    if out_path:
-        try:
+    or a stdout that cannot be written is a ParseFailure naming it."""
+    try:
+        if out_path:
             with open(out_path, "w") as fh:
                 fh.writelines(blocks)
-        except OSError as exc:
-            raise ParseFailure(f"{out_path}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.writelines(blocks)
+        else:
+            sys.stdout.writelines(blocks)
+    except OSError as exc:
+        raise ParseFailure(f"{out_path or '<stdout>'}: {exc.strerror or exc}") from exc
 
 
 # -- input loading ---------------------------------------------------------
@@ -241,8 +241,8 @@ def load_inputs(path: str) -> list[tuple[str, FundamentalData]]:
 
 
 class ParseFailure(Exception):
-    """An input file could not be read or understood, or the --out file could not be
-    written; maps to exit code 4."""
+    """An input file could not be read or understood, or the --out file or stdout could not
+    be written; maps to exit code 4."""
 
 
 # -- subcommands ----------------------------------------------------------
@@ -604,13 +604,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Exit with main's code: os._exit, once stdout and stderr are flushed, skips teardown."""
+    """Exit with main's code through os._exit, which skips teardown, once stdout and stderr
+    are flushed.  A stdout that cannot take the report exits 4 with one error line, as an
+    unwritable --out does; main has said so already when its own write failed."""
     code = main()
     try:
         sys.stdout.flush()
-        sys.stderr.flush()
-    except Exception:  # a broken pipe, a full disk, a closed stream: Python reports it at exit
-        sys.exit(code)
+    except OSError as exc:  # a full disk, a closed reader
+        if code != EXIT_PARSE:
+            print(f"error: <stdout>: {exc.strerror or exc}", file=sys.stderr)
+        code = EXIT_PARSE
+    sys.stderr.flush()
     os._exit(code)
 
 

@@ -109,10 +109,16 @@ def _is_pseudo_umbilical(data: FundamentalData, tol: float) -> bool:
 
 
 def _mean_commutes(data: FundamentalData, tol: float) -> bool:
-    from .symmat import commutes
+    """||[H_m, H_a]||^2 <= (tol max(1, ||H_m|| ||H_a||))^2 for every non-mean a."""
+    import numpy as np
 
-    hm = data.forms[data.mean_index]
-    return all(commutes(hm, data.forms[i], tol) for i in data.non_mean_indices())
+    from .curvature import normal_curvature
+
+    others = list(data.non_mean_indices())
+    comm = normal_curvature(data)[data.mean_index, others]
+    norms = np.linalg.norm(data.forms, axis=(1, 2))
+    bound = tol * np.maximum(1.0, norms[data.mean_index] * norms[others])
+    return bool(np.all(np.sum(comm * comm, axis=(1, 2)) <= bound**2))
 
 
 def _two_eigenvalue_product(form: np.ndarray, ambient: float, tol: float) -> bool:

@@ -96,39 +96,6 @@ def mean_coupling(data: FundamentalData) -> float:
     return first - second
 
 
-def gauss_expansion_check(data: FundamentalData, restrict=None) -> float:
-    """Residual of the Gauss-equation expansion of T_curv; ~0 on valid frames.
-
-    T_curv over a restriction A equals
-
-        n c S~ + sum_{a in A, b} tr(H_b) tr(H_a^2 H_b)
-               - sum_{a in A, b} tr(H_a H_b)^2 - N_comm(A)
-
-    with b running over all normal directions, exactly when the restricted
-    members are traceless and the excluded (mean) member commutes with them —
-    minimal data with the full restriction, or pseudo-umbilical data with the
-    mean member excluded.
-    """
-    idx = data.restriction(restrict)
-    t_curv = curvature_contraction(data, restrict=idx)
-    h = data.forms
-    sub = h[list(idx)]
-    gram_sub = np.einsum("aij,bij->ab", sub, h)  # tr(H_a H_b), a in idx, b all
-    sq_vs_all = np.einsum("aij,bji->ab", np.einsum("aik,akj->aij", sub, sub), h)  # tr(H_a^2 H_b)
-    s_tilde = float(np.sum(sub**2))
-    mid = float(np.einsum("b,ab->", data.traces, sq_vs_all)) - float(np.sum(gram_sub**2))
-    rhs = data.n * data.c * s_tilde + mid - n_comm_value(data, idx)
-    return abs(t_curv - rhs)
-
-
-def commutator_trace_identity(data: FundamentalData, restrict=None) -> tuple[float, float]:
-    """(N_comm, its DDVV bound): N_comm <= sgn(m-1)/2 * S~^2 over the restriction."""
-    idx = data.restriction(restrict)
-    s_tilde = float(np.sum(data.forms[list(idx)] ** 2))
-    bound = 0.5 * sgn(len(idx) - 1) * s_tilde**2
-    return n_comm_value(data, idx), bound
-
-
 def contraction_report(data: FundamentalData, restrict=None) -> ContractionReport:
     idx = data.restriction(restrict)
     t_mixed = mean_coupling(data) if data.mean_index is not None else None
@@ -142,19 +109,6 @@ def contraction_report(data: FundamentalData, restrict=None) -> ContractionRepor
 
 
 # -- parametric lower bound ---------------------------------------------------
-
-def _case_frame(data: FundamentalData, case: str):
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}, expected one of {CASES}")
-    mean = case == PARALLEL_MEAN
-    if mean and data.mean_index is None:
-        raise ValueError("parallel-mean case needs data with mean_index set")
-    p_eff = data.p - 1 if mean else data.p
-    if p_eff < 1:
-        raise ValueError("parallel-mean case needs at least one non-mean direction")
-    idx, s_tilde, ambient = case_terms(data, mean)
-    return idx, p_eff, s_tilde, ambient
-
 
 def _case_sign(p_eff: int, case: str) -> int:
     """sgn(p_eff - 1) in the minimal case, 1 in the parallel-mean case."""
@@ -179,30 +133,16 @@ def laplacian_bound(data: FundamentalData, a: float, kmin: float, case: str) -> 
     """
     if not 0.0 <= a < 1.0:
         raise ValueError(f"parameter a must lie in [0, 1), got {a}")
-    _, p_eff, s_tilde, ambient = _case_frame(data, case)
+    mean = case == PARALLEL_MEAN
+    if mean and data.mean_index is None:
+        raise ValueError("parallel-mean case needs data with mean_index set")
+    p_eff = data.p - 1 if mean else data.p
+    if p_eff < 1:
+        raise ValueError("parallel-mean case needs at least one non-mean direction")
+    _, s_tilde, ambient = case_terms(data, mean)
     return (-a * data.n * ambient * s_tilde
             + (1.0 + a) * data.n * kmin * s_tilde
             + s2_coefficient(a, p_eff, case) * s_tilde**2)
-
-
-def laplacian_surrogate(data: FundamentalData, a: float, case: str) -> float:
-    """Exact combination that Phi(a) bounds from below:
-
-        -a n c S~ + (1+a) T_curv + (a-1) N_comm + a G_sq [- a T_mixed]
-
-    over the case's restriction (the bracketed term only in the parallel-mean
-    case).  Tested against Phi(a) with kmin from the certified bracket.
-    """
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"parameter a must lie in [0, 1), got {a}")
-    idx, _, s_tilde, _ = _case_frame(data, case)
-    value = (-a * data.n * data.c * s_tilde
-             + (1.0 + a) * curvature_contraction(data, restrict=idx)
-             + (a - 1.0) * n_comm_value(data, idx)
-             + a * g_sq_value(data, idx))
-    if case == PARALLEL_MEAN:
-        value -= a * mean_coupling(data)
-    return value
 
 
 def optimal_parameter(p_eff: int, case: str) -> tuple[float, float]:

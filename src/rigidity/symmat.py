@@ -39,26 +39,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + at) / 2.0
 
 
-def as_tuple(mats, dim: int | None = None) -> np.ndarray:
-    """Stack matrices into a validated, symmetrized (m, n, n) tuple.
-
-    An empty input needs an explicit dim to fix the shared dimension.
-    """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        stack = mats
-    else:
-        mats = list(mats)
-        if not mats:
-            if dim is None:
-                raise ValueError("empty tuple needs an explicit matrix dimension")
-            return np.zeros((0, dim, dim))
-        stack = np.stack([np.asarray(m, dtype=float) for m in mats])
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected an (m, n, n) stack, got shape {stack.shape}")
-    if dim is not None and stack.shape[1] != dim:
-        raise ValueError(f"tuple dimension {stack.shape[1]} does not match required {dim}")
-    if stack.shape[0] == 0:
-        return np.asarray(stack, dtype=float)
+def as_tuple(mats) -> np.ndarray:
+    """Stack one or more matrices into a validated, symmetrized (m, n, n) tuple."""
+    stack = np.asarray(mats, dtype=float)
+    if stack.ndim != 3 or not stack.shape[0] or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected an (m, n, n) stack of m >= 1 matrices, got shape {stack.shape}")
     return symmetrize_tuples(stack[None])[0][0]
 
 
@@ -75,21 +60,6 @@ def symmetrize_tuples(a) -> tuple[np.ndarray, np.ndarray]:
     return sym, s
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[A, B] = AB - BA; skew-symmetric whenever A, B are symmetric."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError(f"commutator needs two equal square matrices, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
-def frob_norm_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm sum_ij a_ij^2 (np.sum is pairwise-accurate)."""
-    a = np.asarray(a, dtype=float)
-    return float(np.sum(a * a))
-
-
 def rotate_tuple(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Act on the stack index: B'_r = sum_s q_rs B_s for orthogonal q."""
     t = np.asarray(t, dtype=float)
@@ -103,12 +73,6 @@ def rotate_tuple(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     if defect > ORTHOGONALITY_TOL:
         raise ValueError(f"rotation is not orthogonal: ||q^T q - I||_F = {defect:.3e}")
     return np.einsum("rs,sij->rij", q, t)
-
-
-def commutes(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Whether [A, B] vanishes, relative to the scale ||A|| ||B||."""
-    scale = max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
-    return frob_norm_sq(commutator(a, b)) <= (tol * scale) ** 2
 
 
 def signfix(v: np.ndarray) -> np.ndarray:

@@ -40,8 +40,6 @@ from rigidity.pinching import (
 from rigidity.simons import (
     MINIMAL,
     PARALLEL_MEAN,
-    commutator_trace_identity,
-    gauss_expansion_check,
     mean_coupling,
     optimal_parameter,
     s2_coefficient,
@@ -49,6 +47,7 @@ from rigidity.simons import (
 from rigidity.symmat import random_tuple
 
 from conftest import make_minimal, make_pseudo_umbilical
+from simons_reference import commutator_trace_identity, gauss_expansion_check
 
 
 def coordinate_k(data):

@@ -812,8 +812,9 @@ class TestImportSets:
 
 class TestProcessExit:
     """`python -m rigidity.cli` ends in entry's os._exit once stdout and stderr are flushed:
-    its exit code, stdout, stderr and --out file are in-process main's, byte for byte, and
-    a failing flush or a raising main exits as Python's own teardown reports it."""
+    its exit code, stdout, stderr and --out file are in-process main's, byte for byte.  A
+    stdout that cannot be written exits 4 with one error line, as an unwritable --out does,
+    and a raising main exits as Python's own teardown reports it."""
 
     @pytest.fixture
     def batch(self, tmp_path):
@@ -862,32 +863,36 @@ class TestProcessExit:
         assert len(out) > 3 * 65536 and done.stdout.decode() == out
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("unbuffered,code,tail", [
-        (True, 1, "\nOSError: [Errno 28] No space left on device\n"),
-        (False, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
-                     "encoding='utf-8'>\nOSError: [Errno 28] No space left on device\n"),
-    ], ids=["unbuffered", "buffered"])
-    def test_full_disk_exits_as_python_reports_it(self, unbuffered, code, tail):
-        # unbuffered, main's own write raises; buffered, entry's flush does and sys.exit
-        # leaves the report to the interpreter's teardown
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_full_disk_exits_4(self, unbuffered):
+        # unbuffered, main's own write fails; buffered, entry's final flush does
         with open("/dev/full", "w") as full:
             done = run_python(["-m", "rigidity.cli", "pinch", "--table", "2", "2"],
                               unbuffered=unbuffered, stdout=full)
-        assert done.returncode == code
-        assert done.stderr.decode().endswith(tail)
-        assert unbuffered == done.stderr.startswith(b"Traceback (most recent call last):")
+        assert (done.returncode, done.stderr) == (
+            4, b"error: <stdout>: No space left on device\n")
 
-    def test_closed_reader_exits_as_python_reports_it(self):
+    def test_closed_reader_exits_4(self):
         read, write = os.pipe()
         os.close(read)
         try:
             done = run_python(["-m", "rigidity.cli", "pinch", "--table", "2", "2"], stdout=write)
         finally:
             os.close(write)
-        assert done.returncode == 120
-        assert done.stderr.decode() == (
-            "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
-            "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+        assert (done.returncode, done.stderr) == (4, b"error: <stdout>: Broken pipe\n")
+
+    def test_reader_that_stops_early_exits_4(self):
+        # as `| head -c 100`: the report is past the pipe buffer, so a write of main's fails
+        read, write = os.pipe()
+        reader = threading.Thread(target=lambda: (os.read(read, 100), os.close(read)))
+        reader.start()
+        try:
+            done = run_python(["-m", "rigidity.cli", "immersion", "--builtin", "veronese",
+                               "--grid", "12"], stdout=write)
+        finally:
+            os.close(write)
+            reader.join()
+        assert (done.returncode, done.stderr) == (4, b"error: <stdout>: Broken pipe\n")
 
     def test_raising_main_prints_its_traceback(self):
         script = ("from rigidity import cli\n"

@@ -187,6 +187,15 @@ class TestVerdictFixtures:
         assert (v.status, v.label) == ("strict", "UmbilicalSphere")
         assert "pseudo-umbilical" in v.notes and "mean-commuting" in v.notes
 
+    @pytest.mark.parametrize("forms,commuting", [
+        ([np.diag([2.0, 1.0]), np.diag([1.0, -1.0])], True),
+        ([np.diag([2.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])], False),
+        ([0.5 * np.eye(2)], True),  # the mean member alone: an empty restriction
+    ], ids=["diagonal", "off-diagonal", "mean-only"])
+    def test_mean_commuting_note(self, forms, commuting):
+        data = FundamentalData(n=2, p=len(forms), c=1.0, forms=forms, mean_index=0)
+        assert ("mean-commuting" in verdict(data, "thm2").notes) == commuting
+
     def test_mean_veronese_under_thm2(self):
         v = verdict(veronese(1.0, 0.6), "thm2")
         assert (v.status, v.label) == ("boundary", "Veronese")

@@ -16,19 +16,17 @@ import numpy.testing as npt
 import pytest
 
 from conftest import make_minimal, make_pseudo_umbilical
+from simons_reference import commutator_trace_identity, gauss_expansion_check, laplacian_surrogate
 from rigidity.curvature import FundamentalData, invariants, kmin_bracket, riemann
 from rigidity.models import umbilical_sphere, veronese
 from rigidity.simons import (
     CASES,
     MINIMAL,
     PARALLEL_MEAN,
-    commutator_trace_identity,
     contraction_report,
     curvature_contraction,
     g_sq_value,
-    gauss_expansion_check,
     laplacian_bound,
-    laplacian_surrogate,
     mean_coupling,
     n_comm_value,
     optimal_parameter,

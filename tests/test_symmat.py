@@ -1,4 +1,5 @@
-"""Kernel-level checks for the symmetric-matrix helpers.
+"""Kernel-level checks for the symmetric-matrix helpers, and the commutator algebra of
+`curvature.normal_curvature`, the package's one pairwise commutator.
 
 The frozen numbers below are hand-computed from the canonical 2x2 pair
 A = offdiag(1), B = diag(1, -1):
@@ -11,16 +12,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import random_orthogonal
+from rigidity.curvature import FundamentalData, normal_curvature
 from rigidity.pinching import sgn
-from rigidity.symmat import (
-    as_tuple,
-    commutator,
-    commutes,
-    frob_norm_sq,
-    random_tuple,
-    rotate_tuple,
-    symmetrize,
-)
+from rigidity.symmat import as_tuple, random_tuple, rotate_tuple, symmetrize
 
 
 def trace_product(mats) -> float:
@@ -36,6 +30,11 @@ def trace_product(mats) -> float:
     for m in mats[1:]:
         prod = prod @ m
     return float(np.trace(prod))
+
+
+def commutator(a, b):
+    """[A, B] of two symmetric n x n matrices, read off normal_curvature of the pair."""
+    return normal_curvature(FundamentalData(n=len(a), p=2, c=1.0, forms=[a, b]))[0, 1]
 
 
 A_CANON = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -65,26 +64,26 @@ class TestAsTuple:
         assert t.shape == (2, 2, 2)
         npt.assert_allclose(t[0], A_CANON)
 
-    def test_empty_needs_dim(self):
-        assert as_tuple([], dim=3).shape == (0, 3, 3)
-        with pytest.raises(ValueError):
-            as_tuple([])
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 2, 2))], ids=["list", "array"])
+    def test_empty_is_rejected(self, empty):
+        with pytest.raises(ValueError, match="m >= 1 matrices"):
+            as_tuple(empty)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            as_tuple([A_CANON], dim=3)
+            as_tuple([A_CANON, np.eye(3)])
 
 
 class TestCommutatorAlgebra:
     def test_frozen_canonical_pair(self):
         c = commutator(A_CANON, B_CANON)
         npt.assert_allclose(c, np.array([[0.0, -2.0], [2.0, 0.0]]), atol=0.0)
-        assert frob_norm_sq(c) == 8.0
+        assert np.sum(c * c) == 8.0
 
     def test_scaled_pair(self):
         mu = 1.0 / np.sqrt(3.0)
         c = commutator(mu * A_CANON, mu * B_CANON)
-        npt.assert_allclose(frob_norm_sq(c), 8.0 / 9.0, rtol=1e-15,
+        npt.assert_allclose(np.sum(c * c), 8.0 / 9.0, rtol=1e-15,
                             err_msg="||[mu A, mu B]||^2 should be 8 mu^4")
 
     def test_commutator_is_skew_for_symmetric_inputs(self):
@@ -101,7 +100,8 @@ class TestCommutatorAlgebra:
         for k in range(50):
             t = random_tuple(5, 2, rng)
             a, b = t[0], t[1]
-            lhs = frob_norm_sq(commutator(a, b))
+            c = commutator(a, b)
+            lhs = np.sum(c * c)
             rhs = 2.0 * (trace_product([a, a, b, b]) - trace_product([a, b, a, b]))
             npt.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12,
                                 err_msg=f"trace identity failed at draw {k}")
@@ -146,10 +146,6 @@ class TestRotateTuple:
 
 
 class TestPredicates:
-    def test_commutes(self):
-        assert commutes(np.diag([1.0, 2.0]), np.diag([3.0, -1.0]))
-        assert not commutes(A_CANON, B_CANON)
-
     @pytest.mark.parametrize("x,expected", [(-3, -1), (-0.5, -1), (0, 0), (0.0, 0),
                                             (2, 1), (1e-300, 1)])
     def test_sgn(self, x, expected):
