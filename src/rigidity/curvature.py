@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symmat import gram_frame, rotate_tuple, seed_sequence, symmetrize_tuples
+from .symmat import gram_frame, rotate_tuple, symmetrize_tuples
 
 TRACE_TOL = 1e-10
 NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_bracket
@@ -428,11 +428,18 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
     the operator bound.  The search is one batched Riemannian Newton descent
     (_descend_frames, at most NEWTON_ITERS steps) over every coordinate
     plane, `budget` random orthonormal 2-frames and the closed-form plane.
+
+    The random frames are `budget * n * 2` standard normals, in order, from
+    CPython's `random.Random(seed).gauss`: frame k depends only on the seed
+    and k, so a larger budget only appends starts.  `seed` is None (fresh OS
+    entropy) or a non-negative int; anything else raises ValueError.
     """
     if data.n < 2:
         raise ValueError("sectional curvature needs n >= 2")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+        raise ValueError(f"seed must be None or an int >= 0, got {seed!r}")
     if data.n == 2:
         return surface_brackets(data.forms[None], data.c)[0]
     op, vals = (a[0] for a in operator_bounds(data.forms[None], data.c))
@@ -443,10 +450,13 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
     if hi - lo <= 1e-12 * max(1.0, abs(hi)):
         return Bracket(lo=lo, hi=max(lo, hi))
 
+    import random   # not numpy.random, which costs every check ~6 MB (secrets, OpenSSL)
+
+    gauss = random.Random(seed).gauss
     eye = np.eye(data.n)
     starts = ([np.column_stack([eye[i], eye[j]]) for i, j in zip(*np.triu_indices(data.n, 1))]
-              + [np.random.default_rng(child).normal(size=(data.n, 2))
-                 for child in seed_sequence(seed).spawn(budget)] + closed)
+              + list(np.reshape([gauss() for _ in range(budget * data.n * 2)],
+                                (budget, data.n, 2))) + closed)
     hi = min(hi, float(np.min(_descend_frames(data, np.stack(starts), NEWTON_ITERS))))
     # hi is a sectional value, so hi >= K_min >= lo up to evaluation round-off;
     # clamp the few-ulp drift so the bracket invariant holds exactly.

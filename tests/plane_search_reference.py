@@ -8,6 +8,8 @@ shares no search code with the package, so tests can hold the batched
 form-based search to it.
 """
 
+import random
+
 import numpy as np
 
 from rigidity.curvature import curvature_operator, riemann
@@ -64,6 +66,13 @@ def descend_plane(comp, x0, iters=200, tol=1e-12):
     return f
 
 
+def random_starts(n, budget, seed):
+    """kmin_bracket's `budget` random (n, 2) frames: standard normals from one
+    `random.Random(seed)`, frame by frame and row by row."""
+    gauss = random.Random(seed).gauss
+    return [np.array([[gauss(), gauss()] for _ in range(n)]) for _ in range(max(0, budget))]
+
+
 def reference_kmin_bracket(data, budget=64, seed=0, iters=200, tol=1e-12):
     """(lo, hi) from kmin_bracket's coordinate and random starts, one start at a time."""
     tensor = riemann(data)
@@ -75,7 +84,6 @@ def reference_kmin_bracket(data, budget=64, seed=0, iters=200, tol=1e-12):
         x0[i, 0] = 1.0
         x0[j, 1] = 1.0
         hi = min(hi, descend_plane(comp, x0, iters, tol))
-    for child in np.random.SeedSequence(seed).spawn(max(0, budget)):
-        x0 = np.random.default_rng(child).normal(size=(data.n, 2))
+    for x0 in random_starts(data.n, budget, seed):
         hi = min(hi, descend_plane(comp, x0, iters, tol))
     return lo, max(lo, float(hi))

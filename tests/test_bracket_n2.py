@@ -2,9 +2,11 @@
 
 Lambda^2 of a 2-dimensional tangent space is spanned by e1 ^ e2, so the
 curvature operator is the 1 x 1 matrix (R_1212) and its eigenvalue is K of
-the only plane.  kmin_bracket returns it as both ends and spawns no seeds
-and descends no frames; at n >= 5 the plane search still runs.
+the only plane.  kmin_bracket returns it as both ends, draws no random
+starts and descends no frames; at n >= 5 the plane search still runs.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ def test_no_search_at_n2(monkeypatch):
         raise AssertionError("n = 2 must not search")
 
     monkeypatch.setattr(curvature, "_descend_frames", refuse)
-    monkeypatch.setattr(curvature, "seed_sequence", refuse)
+    monkeypatch.setattr(random, "Random", refuse)
     for _, data in CASES[:12]:
         b = kmin_bracket(data, budget=64, seed=1)
         assert b.lo == b.hi == kmin_bracket(data, budget=0, seed=2).lo

@@ -7,6 +7,8 @@ the bottom eigenvector at the maximizer attains it.  Only a bracket left
 wider than 1e-12 max(1, |hi|) falls back to the multistart descent.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,7 @@ def test_no_search(monkeypatch, data):
         raise AssertionError("n = 3/4 must not search")
 
     monkeypatch.setattr(curvature, "_descend_frames", refuse)
-    monkeypatch.setattr(curvature, "seed_sequence", refuse)
+    monkeypatch.setattr(random, "Random", refuse)
     b = kmin_bracket(data, budget=64, seed=1)
     assert _width_ok(b)
 

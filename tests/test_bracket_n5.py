@@ -7,14 +7,15 @@ search over the coordinate planes, the random starts and that plane.  A
 closed bracket must run no search, and the search must converge: at points
 built like the benchmark's n = 6 and n = 8 records it must match a
 first-order reference run to convergence, and at models with a known K_min
-the bracket must contain it in any frame.
+the bracket must contain it in any frame.  The random starts are the
+standard library's Gaussians for the seed, prefix-stable in the budget.
 """
 
 import numpy as np
 import pytest
 
 from conftest import make_general, make_minimal, random_orthogonal
-from plane_search_reference import reference_kmin_bracket
+from plane_search_reference import random_starts, reference_kmin_bracket
 from rigidity import curvature
 from rigidity.curvature import FundamentalData, PlaneSpec, kmin_bracket, riemann, sectional
 from rigidity.models import product_of_spheres, totally_geodesic, umbilical_sphere
@@ -181,3 +182,47 @@ def test_seed_plane_is_a_start(monkeypatch):
     assert len(starts) == 1 and np.array_equal(starts[0][-1], seed_plane)
     assert b.hi == max(b.lo, float(curvature._frame_values(data, seed_plane[None])[0]))
 
+
+def _random_starts_of(monkeypatch, data, budget, seed):
+    """The random frames kmin_bracket hands its descent, between the coordinate planes
+    and the closed-form plane; the descent itself is skipped."""
+    starts = []
+
+    def recorded(data, x0, iters):
+        starts.append(x0[data.n * (data.n - 1) // 2:-1])
+        return curvature._frame_values(data, curvature._gram_schmidt(x0))
+
+    monkeypatch.setattr(curvature, "_descend_frames", recorded)
+    kmin_bracket(data, budget=budget, seed=seed)
+    assert len(starts) == 1 and starts[0].shape == (budget, data.n, 2)
+    return starts[0]
+
+
+@pytest.mark.parametrize("n,p", [(5, 2), (6, 3), (8, 2)])
+def test_random_starts_are_the_seeded_gaussians(monkeypatch, n, p):
+    data = _level_point(n, p, 1)
+    starts = _random_starts_of(monkeypatch, data, 8, 4)
+    assert np.array_equal(starts, np.stack(random_starts(n, 8, 4)))
+    assert np.array_equal(_random_starts_of(monkeypatch, data, 8, 4), starts)
+    assert not np.array_equal(_random_starts_of(monkeypatch, data, 8, 5), starts)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 8, 64])
+def test_random_starts_are_prefix_stable_in_budget(monkeypatch, budget):
+    data = _level_point(6, 2, 1)
+    more = _random_starts_of(monkeypatch, data, budget + 5, 3)
+    assert np.array_equal(_random_starts_of(monkeypatch, data, budget, 3), more[:budget])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", True, np.random.SeedSequence(7)],
+                         ids=["negative", "float", "str", "bool", "seed-sequence"])
+@pytest.mark.parametrize("n", [2, 6])
+def test_seed_must_be_none_or_a_nonnegative_int(seed, n):
+    data = make_minimal(n, 2, 1.0, np.random.default_rng([n, 13]))
+    with pytest.raises(ValueError, match="seed") as err:
+        kmin_bracket(data, budget=4, seed=seed)
+    assert repr(seed) in str(err.value)
+
+
+def test_seed_none_draws_fresh_starts(monkeypatch):
+    assert _random_starts_of(monkeypatch, _level_point(6, 2, 1), 4, None).shape == (4, 6, 2)

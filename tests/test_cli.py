@@ -63,6 +63,25 @@ def write_data(path, data):
     return str(path)
 
 
+# minimal points at n >= 5 whose brackets stay open after the closed-form plane, so each
+# check of them runs the multistart plane search and draws its random starts
+SEARCHING = [FundamentalData(n=n, p=p, c=1.0, forms=0.3 * random_tuple(
+    n, p, np.random.default_rng([n, p, 27]), traceless=True)) for n, p in [(5, 2), (6, 3), (6, 2)]]
+
+
+def counted_searches(monkeypatch) -> list:
+    """Patch curvature's plane search to log each call; returns the log."""
+    calls = []
+    descend = curvature._descend_frames
+
+    def counted(data, x0, iters):
+        calls.append(len(x0))
+        return descend(data, x0, iters)
+
+    monkeypatch.setattr(curvature, "_descend_frames", counted)
+    return calls
+
+
 def run_python(args, *, unbuffered=False, **kwargs):
     """`python args` in a fresh process that imports the rigidity under test, run to
     completion.  Its stdout is block-buffered unless unbuffered; stdout and stderr are
@@ -211,6 +230,19 @@ class TestCheckCommand:
         _, seq, _ = run(capsys, "check", str(batch), "--no-timestamp", "--jobs", "1")
         _, par, _ = run(capsys, "check", str(batch), "--no-timestamp", "--jobs", "4")
         assert seq == par
+
+    def test_jobs_do_not_change_searching_output(self, capsys, tmp_path, monkeypatch):
+        calls = counted_searches(monkeypatch)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(d) for d in SEARCHING]))
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            run(capsys, "check", str(batch), "--no-timestamp", "--seed", "5", "--budget", "16",
+                "--jobs", jobs, "--out", str(out))
+            reports.append(out.read_bytes())
+        assert len(calls) == 2 * len(SEARCHING)
+        assert reports[0] == reports[1]
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = write_data(tmp_path / "v.json", veronese(1.0, 0.0))
@@ -808,6 +840,22 @@ class TestImportSets:
                   "print(json.dumps([code, 'numpy.random' in sys.modules]))")
         done = run_python(["-c", script], text=True, check=True)
         assert json.loads(done.stdout.splitlines()[-1]) == [1, False]   # K_min < 0: fails
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["n5", "n6"])
+    def test_searching_check_loads_no_numpy_random(self, tmp_path, monkeypatch, index):
+        # the plane search draws its starts from the standard library's random.Random, so
+        # not even an open bracket loads numpy.random, secrets or OpenSSL's _hashlib
+        path = write_data(tmp_path / "s.json", SEARCHING[index])
+        calls = counted_searches(monkeypatch)
+        expected = main(["check", path, "--out", str(tmp_path / "in-process")])
+        assert len(calls) == 1
+        argv = ["check", path, "--out", str(tmp_path / "out")]
+        script = ("import json, sys\nfrom rigidity import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "print(json.dumps([code, sorted(m for m in ('numpy.random', 'secrets',"
+                  " '_hashlib') if m in sys.modules)]))")
+        done = run_python(["-c", script], text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [expected, []]
 
 
 class TestProcessExit:

@@ -5,7 +5,8 @@ import json
 import sys
 from pathlib import Path
 
-from rigidity.cli import SUBCOMMANDS
+from rigidity import curvature
+from rigidity.cli import SUBCOMMANDS, main
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_bytes.py"
 
@@ -62,3 +63,23 @@ def test_every_subcommand_has_a_command(tmp_path):
     names = {cmd.argv[0] for seed in tool.SEEDS
              for _, _, commands in tool.plans(seed, tmp_path / str(seed)) for cmd in commands}
     assert set(SUBCOMMANDS) <= names
+
+
+def test_searching_check_runs_the_plane_search(tmp_path, monkeypatch):
+    """The plane-search command's input lands in its own directory, and every record in it
+    runs the multistart search from the CLI's default budget."""
+    plans = {name: (cwd, commands) for name, cwd, commands in tool.plans(tool.SEEDS[0], tmp_path)}
+    cwd, (cmd,) = plans["plane-search"]
+    assert (cwd / "search.json").is_file() and cwd.parent == tmp_path
+    assert "--budget" not in cmd.argv
+    calls = []
+    descend = curvature._descend_frames
+
+    def counted(data, x0, iters):
+        calls.append(len(x0))
+        return descend(data, x0, iters)
+
+    monkeypatch.setattr(curvature, "_descend_frames", counted)
+    monkeypatch.chdir(cwd)
+    main([*cmd.argv, "--out", "report.json"])
+    assert len(calls) == cmd.items == len(tool.SEARCH_SHAPES)

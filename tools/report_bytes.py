@@ -4,7 +4,8 @@
 
 Builds the commands of every workload in bench/workloads.py, plus the defect
 probe, at seeds 1-3, and once the unseeded `model`, `pinch`, large-tuple
-`ddvv --random`, 144-sample `immersion` and `check` commands; runs each one
+`ddvv --random`, 144-sample `immersion` and `check` commands and a `check` of
+minimal points whose plane search runs at the default budget; runs each one
 with `python -m rigidity.cli` against each root's src/, and lists every
 command whose exit code, stdout, stderr or output file differs.  Where a differing stdout or output file is JSON on both
 sides, up to 5 of its differing leaves follow, each as
@@ -22,6 +23,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -51,6 +54,22 @@ UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                          ["immersion", "--builtin", "veronese", "--grid", "12",
                           "--out", "samples.json"],
                          ["check", "samples.json", "--no-timestamp"])]
+
+
+# Minimal points in S^(n+p) at n in {5, 6, 8}, p in {2, 3}, whose K_min brackets stay open
+# after the closed-form plane: their check runs the plane search from the CLI's default 64
+# random starts, so a change to the start stream shows in their `hi`.
+SEARCH_SHAPES = [(5, 2), (5, 3), (6, 2), (6, 3), (8, 2), (8, 3)]
+
+
+def search_commands(cwd: Path) -> list:
+    """Write the searching points to cwd/search.json; the one command that checks them."""
+    records = [workloads._record(0.5 * workloads._traceless(np.random.default_rng([27, n, p]),
+                                                            n, p), 1.0)
+               for n, p in SEARCH_SHAPES]
+    (cwd / "search.json").write_text(json.dumps(records))
+    argv = ["check", "search.json", "--seed", "1", "--no-timestamp"]
+    return [workloads.Command(" ".join(argv), "check", argv, "", len(records))]
 
 
 def _leaves(a, b, path: str):
@@ -91,6 +110,7 @@ def plans(seed: int, workdir: Path):
     builds["defect-probe"] = lambda _: workloads.defect_probe_commands()
     if seed == SEEDS[0]:
         builds["unseeded"] = lambda _: UNSEEDED
+        builds["plane-search"] = search_commands
     for name, commands in builds.items():
         cwd = workdir / name
         cwd.mkdir(parents=True)
