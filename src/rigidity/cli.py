@@ -12,6 +12,7 @@ records of its batch are still checked.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -247,9 +248,15 @@ class ParseFailure(Exception):
 
 # -- subcommands ----------------------------------------------------------
 
+def _error(message: str, code: int | None = None) -> int | None:
+    """One `error:` line on stderr if it takes it, as argparse writes its own; returns code."""
+    with contextlib.suppress(OSError):
+        print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+    return _error(message, EXIT_USAGE)
 
 
 def _timestamp(args) -> str | None:
@@ -315,23 +322,25 @@ def cmd_check(args) -> int:
         records = list(map(_check_one, items, staged, repeat(args), repeat(stamp)))
     for r in records:
         if "error" in r:
-            print(f"error: {r['input']}: {r['error']}", file=sys.stderr)
+            _error(f"{r['input']}: {r['error']}")
     _dump({"records": records}, args.out)
     return max((r.get("exit_hint", EXIT_HYPOTHESIS) for r in records), default=EXIT_OK)
 
 
-SWEEP_BYTES = 1 << 19   # bytes per draw buffer of the --random sweep: one batch of tuples
+SWEEP_BYTES = 1 << 19   # bytes of the --random sweep's tuple buffer: one batch of tuples
 
 
-def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tuple[float, int]:
-    """Max DDVV ratio and violation count of `trials` (m, n, n) tuples drawn from rng.
+def _random_sweep(seed: int, packed: np.ndarray, tuples: np.ndarray, n: int, m: int,
+                  trials: int) -> tuple[float, int]:
+    """Max DDVV ratio and violation count of `trials` random (m, n, n) tuples.
 
-    A helper thread draws batch k + 1 into one of the two draw buffers, buffers[:2], while
-    this thread symmetrizes batch k into buffers[2] and evaluates it; both spend their
-    time in numpy loops that release the GIL.  A batch fills a buffer, len(buffers[0]) // m
-    tuples.  Batches are drawn and consumed in order, so the stream, and every bit of the
-    result, is a serial sweep's at any batch size.  The helper calls numpy only, its
-    exception re-raises here, and it is joined before this returns.
+    Member k is row k of one (trials * m, n(n+1)/2) standard_normal draw of default_rng(seed):
+    its diagonal, then its entries i < j row by row.  Its diagonal scaled by sqrt(2), it is
+    (G + G^T)/2 of a Gaussian G times sqrt(2), which the ratio drops.  A helper thread draws
+    batch k + 1 into one packed buffer while this thread scales batch k, gathers it into
+    `tuples` and evaluates it, in numpy loops that release the GIL.  Batches are drawn and
+    used in order, so every bit of the result is one serial draw's at any batch size.  The
+    helper calls numpy only, its exception re-raises here, and it is joined before return.
     """
     import threading
 
@@ -339,10 +348,13 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
 
     from .ddvv import ratio_terms
 
-    draws, tuples = buffers[:2], buffers[2]
-    size = len(tuples) // m
+    rng, size = np.random.default_rng(seed), len(tuples) // m
+    scale = np.where(np.arange(packed.shape[-1]) < n, math.sqrt(2.0), 1.0)   # per column
+    index = np.diag(np.arange(n))   # packed column of each entry
+    rows, cols = np.triu_indices(n, 1)
+    index[rows, cols] = index[cols, rows] = np.arange(n, packed.shape[-1])
     starts = range(0, trials, size)
-    free, filled = threading.Semaphore(2), threading.Semaphore(0)   # draw buffers in each state
+    free, filled = threading.Semaphore(2), threading.Semaphore(0)   # packed buffers in each state
     stop, failure = threading.Event(), []
 
     def draw():
@@ -351,7 +363,7 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
                 free.acquire()
                 if stop.is_set():
                     return
-                rng.standard_normal(out=draws[k % 2, : min(size, trials - done) * m])
+                rng.standard_normal(out=packed[k % 2, : min(size, trials - done) * m])
                 filled.release()
         except BaseException as exc:  # handed to the sweep, which raises it
             failure.append(exc)
@@ -362,15 +374,14 @@ def _random_sweep(rng, buffers: np.ndarray, n: int, m: int, trials: int) -> tupl
     best, violations = 0.0, 0
     try:
         for k, done in enumerate(starts):
-            batch = min(size, trials - done)
             filled.acquire()
             if failure:
                 raise failure[0]
-            g = draws[k % 2, : batch * m]   # the bits of normal(size=)
-            t = np.add(g, np.swapaxes(g, 1, 2), out=tuples[: batch * m])
+            members = packed[k % 2, : min(size, trials - done) * m]
+            np.multiply(members, scale, out=members)
+            t = np.take(members, index, axis=1, out=tuples[: len(members)], mode="clip")
             free.release()
-            t /= 2.0
-            ratio = ratio_terms(t.reshape(batch, m, n, n))[2]
+            ratio = ratio_terms(t.reshape(-1, m, n, n))[2]
             best = max(best, float(np.max(ratio)))
             violations += int(np.sum(ratio > 1.0 + 1e-12))
     finally:
@@ -388,8 +399,7 @@ def _allocate(flag: str, shape: tuple) -> np.ndarray | None:
     try:
         return np.empty(shape)
     except (ValueError, MemoryError) as exc:
-        print(f"error: {flag}: {exc}", file=sys.stderr)
-        return None
+        return _error(f"{flag}: {exc}")
 
 
 def cmd_ddvv(args) -> int:
@@ -399,14 +409,12 @@ def cmd_ddvv(args) -> int:
         n, m, trials = args.random
         if n < 1 or m < 1 or trials < 1:
             return _usage("--random needs positive n, m, trials")
-        size = max(1, SWEEP_BYTES // (8 * m * n * n))   # tuples per batch
-        buffers = _allocate("--random", (3, min(size, trials) * m, n, n))
-        if buffers is None:
+        rows = min(trials, max(1, SWEEP_BYTES // (8 * m * n * n))) * m   # members per batch
+        packed = _allocate("--random", (2, rows, n * (n + 1) // 2))
+        tuples = None if packed is None else _allocate("--random", (rows, n, n))
+        if tuples is None:
             return EXIT_USAGE
-        import numpy as np
-
-        best, violations = _random_sweep(np.random.default_rng(args.seed), buffers,
-                                         n, m, trials)
+        best, violations = _random_sweep(args.seed, packed, tuples, n, m, trials)
         _dump({"mode": "random", "n": n, "m": m, "trials": trials,
                "seed": args.seed, "max_ratio": best, "violations": violations,
                "timestamp": _timestamp(args)}, args.out)
@@ -449,8 +457,7 @@ def cmd_model(args) -> int:
     try:
         data = build_model(spec)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return _error(str(exc), EXIT_HYPOTHESIS)
     _dump(data_to_dict(data), args.out)
     return EXIT_OK
 
@@ -466,8 +473,7 @@ def cmd_immersion(args) -> int:
     try:
         samples = sample_grid(spec, args.grid)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+        return _error(str(exc), EXIT_HYPOTHESIS)
     _dump([sample_to_dict(s) for s in samples], args.out)
     return EXIT_OK
 
@@ -492,12 +498,17 @@ def cmd_pinch(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors exit with the reserved code 5."""
+    """argparse whose usage errors exit with the reserved code 5 and whose help is a report."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:   # help, written as a report is
+            _write([message], None)
+        else:   # argparse's own, which drops a failed write
+            super()._print_message(message, file)
 
 
 def _check_arguments(chk) -> None:
@@ -592,15 +603,13 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.out == "":   # every subcommand has --out; an empty one would mean stdout
-        return _usage("--out must name a file")
-    try:
+        if args.out == "":   # every subcommand has --out; an empty one would mean stdout
+            return _usage("--out must name a file")
         return args.func(args)
+    except SystemExit as exc:   # argparse's help and usage errors
+        return int(exc.code or 0)
     except ParseFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(str(exc), EXIT_PARSE)
 
 
 def entry() -> None:
@@ -612,9 +621,10 @@ def entry() -> None:
         sys.stdout.flush()
     except OSError as exc:  # a full disk, a closed reader
         if code != EXIT_PARSE:
-            print(f"error: <stdout>: {exc.strerror or exc}", file=sys.stderr)
+            _error(f"<stdout>: {exc.strerror or exc}")
         code = EXIT_PARSE
-    sys.stderr.flush()
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
     os._exit(code)
 
 

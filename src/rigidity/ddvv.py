@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symmat import as_tuple, gram_frame, random_tuple, seed_sequence, signfix
+from .symmat import as_tuple, gram_frame, signfix
 
 EQUALITY_RTOL = 1e-8
 
@@ -244,25 +244,31 @@ def maximize_ratio(n: int, m: int, seed=0, starts: int = 32,
                    iters: int = 2000) -> MaximizeResult:
     """Maximize lhs/rhs over tuples by projected gradient ascent.
 
-    Multistart on the Frobenius unit sphere (rhs = 1 there, so the objective
-    is the ratio itself), every start in one (starts, m, n, n) stack.  Each
-    start keeps the per-start rule: backtracking from step 0.1, halving while
-    above 1e-16 until the first increase; it stops at ||tangent|| < 1e-16, at
-    a failed line search, at relative improvement < 1e-14 or after `iters`
-    steps, and then leaves the active set.  Degenerate shapes (m < 2 or
-    n < 2) have ratio 0 and return immediately.
+    Multistart on the Frobenius unit sphere (rhs = 1 there, so the objective is the
+    ratio itself), every start in one (starts, m, n, n) stack: starts m n^2 normals, in
+    order, of random.Random(seed).gauss, each n x n block G made (G + G^T)/2; `seed` is
+    None or an int >= 0, as for curvature.kmin_bracket.  Each start keeps the per-start
+    rule: backtracking from step 0.1, halving while above 1e-16 until the first increase;
+    it stops at ||tangent|| < 1e-16, at a failed line search, at relative improvement
+    < 1e-14 or after `iters` steps, and then leaves the active set.  Degenerate shapes
+    (m < 2 or n < 2) have ratio 0 and return immediately.
     """
     if starts < 1:
         raise ValueError(f"need starts >= 1, got {starts}")
     if iters < 0:
         raise ValueError(f"need iters >= 0, got {iters}")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+        raise ValueError(f"seed must be None or an int >= 0, got {seed!r}")
     if m < 2 or n < 2:
         return MaximizeResult(tuple=np.zeros((max(m, 0), n, n)), ratio=0.0, history=[])
     def dot(a, b):  # per-tuple Frobenius products, (S, 1, 1, 1)
         return np.sum(a * b, axis=(1, 2, 3), keepdims=True)
 
-    t = np.stack([random_tuple(n, m, np.random.default_rng(child))
-                  for child in seed_sequence(seed).spawn(starts)])
+    import random   # not numpy.random, which costs a process ~6 MB (secrets, OpenSSL)
+
+    gauss = random.Random(seed).gauss
+    g = np.fromiter(iter(gauss, None), float, starts * m * n * n).reshape(starts, m, n, n)
+    t = (g + np.swapaxes(g, 2, 3)) / 2.0
     t /= np.sqrt(dot(t, t))
     f = commutator_energy(t)
     act, who, vals = np.arange(starts), [np.empty(0, int)], [np.empty(0)]

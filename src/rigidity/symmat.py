@@ -95,24 +95,3 @@ def gram_frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(vals)[..., ::-1]
     q = signfix(np.take_along_axis(vecs, order[..., None, :], axis=-1))
     return np.take_along_axis(vals, order, axis=-1), np.swapaxes(q, -1, -2)
-
-
-# -- seeded random instances --------------------------------------------------
-
-def seed_sequence(seed) -> np.random.SeedSequence:
-    """A SeedSequence as is; anything else (int, None, entropy list) wrapped in one."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-
-
-def random_tuple(dim: int, count: int, seed=0, scale: float = 1.0,
-                 traceless: bool = False) -> np.ndarray:
-    """(count, dim, dim) stack of symmetrized Gaussian matrices from one generator.
-
-    Deterministic per seed (a Generator is used as is); traceless removes
-    each member's trace part.
-    """
-    g = np.random.default_rng(seed).normal(size=(count, dim, dim)) * scale
-    t = (g + np.swapaxes(g, 1, 2)) / 2.0
-    if traceless:
-        t -= (np.trace(t, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
-    return t

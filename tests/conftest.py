@@ -7,7 +7,37 @@ own seed; nothing here touches global RNG state.
 import numpy as np
 
 from rigidity.curvature import FundamentalData
-from rigidity.symmat import random_tuple
+
+
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """A SeedSequence as is; anything else (int, None, entropy list) wrapped in one."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def random_tuple(dim, count, seed=0, scale=1.0, traceless=False):
+    """(count, dim, dim) stack of symmetrized Gaussian matrices from one generator.
+
+    Deterministic per seed (a Generator is used as is); traceless removes
+    each member's trace part.
+    """
+    g = np.random.default_rng(seed).normal(size=(count, dim, dim)) * scale
+    t = (g + np.swapaxes(g, 1, 2)) / 2.0
+    if traceless:
+        t -= (np.trace(t, axis1=1, axis2=2) / dim)[:, None, None] * np.eye(dim)
+    return t
+
+
+def packed_tuples(seed, trials, m, n):
+    """The (trials, m, n, n) tuples of `ddvv --random`: member k is row k of one
+    (trials * m, n(n+1)/2) standard normal draw, its n diagonal entries scaled by sqrt(2)
+    and then its entries i < j, row by row, each set at (i, j) and (j, i)."""
+    packed = np.random.default_rng(seed).standard_normal((trials * m, n * (n + 1) // 2))
+    members = np.empty((trials * m, n, n))
+    diagonal = np.arange(n)
+    members[:, diagonal, diagonal] = packed[:, :n] * np.sqrt(2.0)
+    rows, cols = np.triu_indices(n, 1)
+    members[:, rows, cols] = members[:, cols, rows] = packed[:, n:]
+    return members.reshape(trials, m, n, n)
 
 
 def make_minimal(n, p, c, rng, scale=0.6):

@@ -8,10 +8,11 @@ not depend on the batch shape, so tests can hold the stacked ascent to it bit
 for bit.
 """
 
+import random
+
 import numpy as np
 
 from rigidity.ddvv import MaximizeResult, commutator_energy, energy_gradient, evaluate
-from rigidity.symmat import random_tuple
 
 
 def ascend(t, iters):
@@ -43,10 +44,14 @@ def ascend(t, iters):
 
 
 def start_tuples(n, m, seed, starts):
-    """The unit-sphere start tuples of maximize_ratio, one generator per start."""
+    """The unit-sphere start tuples of maximize_ratio: one random.Random(seed) stream of
+    standard normals read entry by entry, matrix by matrix, start by start; each matrix G
+    becomes (G + G^T)/2 and each tuple is scaled to unit norm."""
+    gauss = random.Random(seed).gauss
     out = []
-    for child in np.random.SeedSequence(seed).spawn(starts):
-        t = random_tuple(n, m, np.random.default_rng(child))
+    for _ in range(starts):
+        g = np.array([[[gauss() for _ in range(n)] for _ in range(n)] for _ in range(m)])
+        t = (g + g.transpose(0, 2, 1)) / 2.0
         t /= np.sqrt(np.sum(t * t))
         out.append(t)
     return out

@@ -44,9 +44,8 @@ from rigidity.simons import (
     optimal_parameter,
     s2_coefficient,
 )
-from rigidity.symmat import random_tuple
 
-from conftest import make_minimal, make_pseudo_umbilical
+from conftest import make_minimal, make_pseudo_umbilical, random_tuple
 from simons_reference import commutator_trace_identity, gauss_expansion_check
 
 

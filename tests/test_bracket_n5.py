@@ -14,12 +14,12 @@ standard library's Gaussians for the seed, prefix-stable in the budget.
 import numpy as np
 import pytest
 
-from conftest import make_general, make_minimal, random_orthogonal
+from conftest import make_general, make_minimal, random_orthogonal, random_tuple
 from plane_search_reference import random_starts, reference_kmin_bracket
 from rigidity import curvature
 from rigidity.curvature import FundamentalData, PlaneSpec, kmin_bracket, riemann, sectional
 from rigidity.models import product_of_spheres, totally_geodesic, umbilical_sphere
-from rigidity.symmat import random_tuple, rotate_tuple
+from rigidity.symmat import rotate_tuple
 
 
 def _level_point(n, p, seed, level=0.7):

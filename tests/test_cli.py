@@ -21,6 +21,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import packed_tuples, random_tuple
 from rigidity import cli, curvature, ddvv
 from rigidity.cli import _dump, data_from_dict, data_to_dict, main
 from rigidity.curvature import FundamentalData
@@ -35,7 +36,6 @@ from rigidity.pinching import (
     threshold_thm2,
     threshold_yau,
 )
-from rigidity.symmat import random_tuple
 
 
 def run(capsys, *argv):
@@ -841,15 +841,20 @@ class TestImportSets:
         done = run_python(["-c", script], text=True, check=True)
         assert json.loads(done.stdout.splitlines()[-1]) == [1, False]   # K_min < 0: fails
 
-    @pytest.mark.parametrize("index", [0, 1], ids=["n5", "n6"])
-    def test_searching_check_loads_no_numpy_random(self, tmp_path, monkeypatch, index):
-        # the plane search draws its starts from the standard library's random.Random, so
-        # not even an open bracket loads numpy.random, secrets or OpenSSL's _hashlib
-        path = write_data(tmp_path / "s.json", SEARCHING[index])
+    @pytest.mark.parametrize("argv, searches", [
+        (["check", 0], 1), (["check", 1], 1), (["ddvv", "--maximize", "3", "3", "32"], 0),
+    ], ids=["n5", "n6", "ddvv-maximize"])
+    def test_searching_check_loads_no_numpy_random(self, tmp_path, monkeypatch, argv,
+                                                   searches):
+        # the plane search and the ratio ascent draw their starts from the standard
+        # library's random.Random, so not even an open bracket or a multistart ascent loads
+        # numpy.random, secrets or OpenSSL's _hashlib
+        argv = [write_data(tmp_path / "s.json", SEARCHING[a]) if isinstance(a, int) else a
+                for a in argv]
         calls = counted_searches(monkeypatch)
-        expected = main(["check", path, "--out", str(tmp_path / "in-process")])
-        assert len(calls) == 1
-        argv = ["check", path, "--out", str(tmp_path / "out")]
+        expected = main(argv + ["--out", str(tmp_path / "in-process")])
+        assert len(calls) == searches
+        argv += ["--out", str(tmp_path / "out")]
         script = ("import json, sys\nfrom rigidity import cli\n"
                   f"code = cli.main({argv!r})\n"
                   "print(json.dumps([code, sorted(m for m in ('numpy.random', 'secrets',"
@@ -920,6 +925,31 @@ class TestProcessExit:
         assert (done.returncode, done.stderr) == (
             4, b"error: <stdout>: No space left on device\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["top", "check"])
+    def test_help_to_a_full_disk_exits_4(self, argv, unbuffered):
+        # unbuffered, argparse's own write fails, which it would pass over; buffered, the
+        # final flush does
+        with open("/dev/full", "w") as full:
+            done = run_python(["-m", "rigidity.cli", *argv], unbuffered=unbuffered, stdout=full)
+        assert (done.returncode, done.stderr) == (
+            4, b"error: <stdout>: No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv, code", [
+        (["pinch", "--table", "2", "2"], 4),   # stdout is full too
+        (["check"], 5),
+        (["ddvv", "--random", "0", "1", "1"], 5),
+    ], ids=["report", "usage-argparse", "usage-handler"])
+    def test_full_stderr_keeps_the_exit_code(self, argv, code, unbuffered):
+        # no error line can be written, but the code still says what went wrong
+        with open("/dev/full", "w") as full:
+            done = run_python(["-m", "rigidity.cli", *argv], unbuffered=unbuffered,
+                              stdout=full if code == 4 else subprocess.PIPE, stderr=full)
+        assert done.returncode == code
+
     def test_closed_reader_exits_4(self):
         read, write = os.pipe()
         os.close(read)
@@ -989,8 +1019,8 @@ class TestSharedKernelsInCli:
         records = json.loads(out)["records"]
         assert records[0]["status"] == "fails" and "error" in records[1]
 
-    # On seeds 0, 2 and 3 an einsum reduction of the energy differs from the shared
-    # kernel's pairwise sum in the last bit, so a second copy in the CLI shows.  The
+    # On seeds 0 and 2 an einsum of the energy over all ordered pairs gives a max_ratio one
+    # bit off the shared kernel's pairwise sum, so a second copy in the CLI shows.  The
     # trial counts around a batch (2,048 tuples at n = 4, m = 2; 91 at n = 12, m = 5)
     # hold the overlapped batches and the tail batch to one serial draw.
     @pytest.mark.parametrize("seed, n, m, trials", [
@@ -1003,9 +1033,7 @@ class TestSharedKernelsInCli:
         code, out, _ = run(capsys, "ddvv", "--random", str(n), str(m), str(trials),
                            "--seed", str(seed), "--no-timestamp")
         assert code == 0
-        g = np.random.default_rng(seed).normal(size=(trials, m, n, n))
-        tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
-        loop = max(ddvv_evaluate(t).ratio for t in tuples)
+        loop = max(ddvv_evaluate(t).ratio for t in packed_tuples(seed, trials, m, n))
         assert json.loads(out)["max_ratio"] == loop
 
     def test_random_sweep_hands_every_batch_over_once(self, capsys, monkeypatch):
@@ -1027,8 +1055,7 @@ class TestSharedKernelsInCli:
         finally:
             sys.setswitchinterval(interval)
         assert code == 0
-        g = np.random.default_rng(11).normal(size=(10000, 2, 4, 4))
-        tuples = (g + np.transpose(g, (0, 1, 3, 2))) / 2.0
+        tuples = packed_tuples(11, 10000, 2, 4)
         assert [len(t) for t in seen] == [2048] * 4 + [1808]
         npt.assert_array_equal(np.concatenate(seen), tuples)
         assert json.loads(out)["max_ratio"] == np.max(ddvv_ratio_terms(tuples)[2])

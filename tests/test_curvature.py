@@ -17,7 +17,13 @@ import numpy.testing as npt
 import pytest
 
 from commutator_reference import commutators
-from conftest import make_general, make_minimal, make_pseudo_umbilical, random_orthogonal
+from conftest import (
+    make_general,
+    make_minimal,
+    make_pseudo_umbilical,
+    random_orthogonal,
+    random_tuple,
+)
 from rigidity.curvature import (
     FundamentalData,
     PlaneSpec,
@@ -32,7 +38,7 @@ from rigidity.curvature import (
 )
 from rigidity.immersion import builtin, sample_grid
 from rigidity.models import totally_geodesic, umbilical_sphere, veronese
-from rigidity.symmat import random_tuple, rotate_tuple
+from rigidity.symmat import rotate_tuple
 
 # --- fixtures: one representative datum per frame convention -------------------
 

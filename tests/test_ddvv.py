@@ -15,7 +15,7 @@ import pytest
 
 import ddvv_reference
 from commutator_reference import commutators
-from conftest import random_orthogonal
+from conftest import packed_tuples, random_orthogonal, random_tuple
 from rigidity import ddvv
 from rigidity.ddvv import (
     commutator_energy,
@@ -30,7 +30,7 @@ from rigidity.ddvv import (
 from rigidity.cli import main
 from rigidity.immersion import builtin, sample_grid
 from rigidity.models import veronese
-from rigidity.symmat import random_tuple, rotate_tuple
+from rigidity.symmat import rotate_tuple
 
 
 class TestCommutatorEnergy:
@@ -87,12 +87,11 @@ class TestRatioTerms:
         assert all(type(x) is float for x in terms)
 
     def test_random_sweep_max_ratio(self, capsys):
-        # 5000 trials span two of the sweep's 4096-tuple batches
+        # 5000 trials span three of the sweep's 2,427-tuple batches
         assert main(["ddvv", "--random", "3", "3", "5000", "--seed", "4",
                      "--no-timestamp"]) == 0
         out = json.loads(capsys.readouterr().out)
-        g = np.random.default_rng(4).normal(size=(5000, 3, 3, 3))
-        ratio = ratio_terms((g + np.transpose(g, (0, 1, 3, 2))) / 2.0)[2]
+        ratio = ratio_terms(packed_tuples(4, 5000, 3, 3))[2]
         assert out["max_ratio"] == float(np.max(ratio))
         assert out["violations"] == 0
 

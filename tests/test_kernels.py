@@ -1,6 +1,6 @@
 """The shared kernels: one symmetric-stack validator, one commutator energy,
-one sign fix, one Gram eigenframe, one trace gate, one restriction check, one
-seed coercion.
+one sign fix, one Gram eigenframe, one trace gate, one restriction check, and
+one seed rule for the two random searches.
 
 Each is checked against the per-member or per-tuple computation it replaced,
 so batching cannot change a single bit or error message.
@@ -9,16 +9,20 @@ so batching cannot change a single bit or error message.
 import numpy as np
 import pytest
 
-from conftest import make_minimal
-from rigidity.curvature import FundamentalData, gram_diagonalize, negligible_trace
-from rigidity.ddvv import commutator_energy, detect_equality, evaluate, extremal_pair
+from conftest import make_minimal, random_tuple, seed_sequence
+from rigidity.curvature import FundamentalData, gram_diagonalize, kmin_bracket, negligible_trace
+from rigidity.ddvv import (
+    commutator_energy,
+    detect_equality,
+    evaluate,
+    extremal_pair,
+    maximize_ratio,
+)
 from rigidity.simons import curvature_contraction
 from rigidity.symmat import (
     as_tuple,
     gram_frame,
-    random_tuple,
     rotate_tuple,
-    seed_sequence,
     signfix,
     symmetrize,
 )
@@ -159,3 +163,14 @@ class TestShared:
         ss = np.random.SeedSequence(5)
         assert seed_sequence(ss) is ss
         assert seed_sequence(5).entropy == 5
+
+    def test_one_seed_rule(self):
+        # the plane search and the ratio ascent draw their starts alike, and refuse alike
+        data = make_minimal(5, 2, 1.0, np.random.default_rng(67))
+        for bad in (-1, 1.5, "7", True, np.random.SeedSequence(5)):
+            with pytest.raises(ValueError) as bracket_err:
+                kmin_bracket(data, seed=bad)
+            with pytest.raises(ValueError) as ascent_err:
+                maximize_ratio(2, 2, seed=bad, starts=1, iters=1)
+            assert str(bracket_err.value) == str(ascent_err.value)
+            assert str(ascent_err.value) == f"seed must be None or an int >= 0, got {bad!r}"

@@ -7,13 +7,14 @@ best tuple, its ratio and the start-major history must agree exactly,
 including when `iters` cuts the starts short and when a start stops at once.
 """
 
+import random
+
 import numpy as np
 import pytest
 
 import maximize_reference as ref
-from rigidity import ddvv
 from rigidity.ddvv import energy_gradient, extremal_pair, maximize_ratio
-from rigidity.symmat import random_tuple, rotate_tuple
+from rigidity.symmat import rotate_tuple
 
 
 def assert_same(got, want):
@@ -48,6 +49,7 @@ def _stuck_start(n, m):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     w, _ = np.linalg.qr(rng.normal(size=(m, m)))
     t = rotate_tuple(extremal_pair(n, m, 1.0, rotation=q), w)
+    t = (t + np.swapaxes(t, 1, 2)) / 2.0   # exactly symmetric: a drawn G gives it back
     return t / np.sqrt(np.sum(t * t))
 
 
@@ -59,17 +61,21 @@ def test_failed_line_search(monkeypatch, n, m):
     assert np.sqrt(np.sum(tang * tang)) >= 1e-16
     assert ref.ascend(stuck, 2000)[2] == []
 
-    def draws(real):
-        calls = []
+    size = stuck.size
 
-        def fake(dim, count, rng):
-            calls.append(rng)
-            return stuck.copy() if len(calls) == 2 else real(dim, count, rng)
+    class StuckSecondStart(random.Random):
+        """The standard library's stream, but with the stuck tuple's entries as the second
+        start's m * n^2 draws."""
 
-        return fake
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.drawn = 0
 
-    monkeypatch.setattr(ddvv, "random_tuple", draws(random_tuple))
-    monkeypatch.setattr(ref, "random_tuple", draws(random_tuple))
+        def gauss(self, *args):
+            k, self.drawn = self.drawn, self.drawn + 1
+            return float(stuck.flat[k - size]) if size <= k < 2 * size else super().gauss(*args)
+
+    monkeypatch.setattr(random, "Random", StuckSecondStart)
     got = maximize_ratio(n, m, seed=1, starts=4, iters=2000)
     assert_same(got, ref.reference_maximize_ratio(n, m, seed=1, starts=4, iters=2000))
     # the stuck start already holds the maximum ratio 1, so it is the best

@@ -20,7 +20,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_minimal, make_pseudo_umbilical, random_orthogonal
+from conftest import make_minimal, make_pseudo_umbilical, random_orthogonal, random_tuple
 from rigidity.curvature import FundamentalData, kmin_bracket
 from rigidity.models import (
     product_of_spheres,
@@ -41,7 +41,7 @@ from rigidity.pinching import (
     verdict,
 )
 from rigidity.simons import MINIMAL, PARALLEL_MEAN, laplacian_bound, optimal_parameter
-from rigidity.symmat import random_tuple, rotate_tuple
+from rigidity.symmat import rotate_tuple
 
 # the indeterminate fixture: a seed-1 traceless n = 5 tuple scaled so the p=3
 # threshold 3/8 sits halfway between the curvature-operator bound lo = 0.3713

@@ -11,10 +11,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import random_orthogonal
+from conftest import random_orthogonal, random_tuple
 from rigidity.curvature import FundamentalData, normal_curvature
 from rigidity.pinching import sgn
-from rigidity.symmat import as_tuple, random_tuple, rotate_tuple, symmetrize
+from rigidity.symmat import as_tuple, rotate_tuple, symmetrize
 
 
 def trace_product(mats) -> float:
