@@ -8,8 +8,9 @@ step-size error (Griewank, Utke and Walther, Math. Comp. 2000).  One stacked
 eigh whitens the metrics, a vectorized pivoted Gram-Schmidt builds tangent
 and normal frames deterministically, and each point yields its (p, n, n)
 stack of form matrices: a FundamentalData instance that feeds every other
-module.  Central differences at DEFAULT_STEP run only for maps that reject
-the Taylor numbers.
+module.  A map that rejects the Taylor numbers gets central differences along
+the same directions instead, at DEFAULT_STEP: 1 + n(n+1) map calls per point,
+O(h^2), and the same Hessian assembly.
 """
 
 from __future__ import annotations
@@ -164,32 +165,39 @@ def _points(spec: ImmersionSpec, u) -> np.ndarray:
     return u[None]
 
 
-def _eval(spec: ImmersionSpec, u: np.ndarray) -> np.ndarray:
-    out = np.asarray(spec.map(np.asarray(u, dtype=float)), dtype=float)
-    if out.shape != (spec.N,):
-        raise ValueError(f"map returned shape {out.shape}, expected ({spec.N},)")
-    return out
-
-
 def _jets(spec: ImmersionSpec, points: np.ndarray):
-    """F (P, N), the Jacobians (P, N, n) and the Hessian stacks (P, N, n, n):
-    exact Taylor jets, else central differences at DEFAULT_STEP."""
-    exact = _taylor_jets(spec, points)
-    return exact if exact is not None else _difference_jets(spec, points, DEFAULT_STEP)
+    """F (P, N), the Jacobians (P, N, n) and the Hessian stacks (P, N, n, n) of a batch.
 
-
-def _taylor_jets(spec: ImmersionSpec, points: np.ndarray):
-    """One map call on Taylor numbers along e_i and e_i + e_j; None if the map rejects them.
-
-    Along a direction d the jet's second coefficient is d·Hess·d / 2, so the
-    diagonal is 2·c2(e_i) and the mixed entry is c2(e_i+e_j) - c2(e_i) - c2(e_j).
+    Exact Taylor jets, or else central differences at DEFAULT_STEP, give the coefficients
+    of F(u + t·d) = c0 + c1·t + c2·t² along d = e_i and e_i + e_j.  As c2 is d·Hess·d / 2,
+    the diagonal is 2·c2(e_i) and the mixed entry c2(e_i+e_j) - c2(e_i) - c2(e_j).
+    A value that is not finite raises, naming the first such point.
     """
-    P, n, N = len(points), spec.n, spec.N
+    n = spec.n
     eye = np.eye(n)
     pairs = list(itertools.combinations(range(n), 2))
     dirs = np.array([*eye, *(eye[i] + eye[j] for i, j in pairs)])    # (D, n)
-    u = np.empty(n, dtype=object)
-    for k in range(n):
+    coeffs = _taylor_jets(spec, points, dirs)
+    c0, c1, c2 = coeffs if coeffs is not None else _differences(spec, points, dirs)
+    finite = [np.isfinite(c).reshape(len(points), -1).all(1) for c in (c0, c1, c2)]
+    bad = np.flatnonzero(~np.logical_and.reduce(finite))
+    if len(bad):
+        raise ValueError(f"map value or derivative is not finite at u={points[bad[0]].tolist()}")
+    hess = np.empty((len(points), spec.N, n, n))
+    for i in range(n):
+        hess[:, :, i, i] = 2.0 * c2[:, i]
+    for d, (i, j) in enumerate(pairs, start=n):
+        hess[:, :, i, j] = hess[:, :, j, i] = c2[:, d] - c2[:, i] - c2[:, j]
+    return (np.ascontiguousarray(c0),
+            np.ascontiguousarray(np.swapaxes(c1[:, :n], 1, 2)), hess)
+
+
+def _taylor_jets(spec: ImmersionSpec, points: np.ndarray, dirs: np.ndarray):
+    """c0 (P, N), c1 and c2 (P, D, N) from one map call on Taylor numbers along dirs;
+    None if the map rejects them."""
+    P, N = len(points), spec.N
+    u = np.empty(spec.n, dtype=object)
+    for k in range(spec.n):
         u[k] = _Jet(points[:, k], np.repeat(dirs[:, k:k + 1], P, axis=1),
                     np.zeros((len(dirs), P)))
     try:
@@ -206,36 +214,25 @@ def _taylor_jets(spec: ImmersionSpec, points: np.ndarray):
             c0[a] = comp
         else:
             return None
-    hess = np.empty((P, N, n, n))
-    for i in range(n):
-        hess[:, :, i, i] = 2.0 * c2[:, i].T
-    for d, (i, j) in enumerate(pairs, start=n):
-        hess[:, :, i, j] = hess[:, :, j, i] = (c2[:, d] - c2[:, i] - c2[:, j]).T
-    return (np.ascontiguousarray(c0.T),
-            np.ascontiguousarray(c1[:, :n].transpose(2, 0, 1)), hess)
+    return c0.T, c1.T, c2.T
 
 
-def _difference_jets(spec: ImmersionSpec, points: np.ndarray, step: float):
-    """Central differences of O(step²): 1 + 2n + 4·C(n, 2) map calls per point."""
-    n = spec.n
-    eye = np.eye(n)
+def _differences(spec: ImmersionSpec, points: np.ndarray, dirs: np.ndarray):
+    """c0 (P, N), c1 = (F₊ - F₋)/2h and c2 = (F₊ - 2F₀ + F₋)/2h² (P, D, N), where
+    F± = F(u ± h·d) and h = DEFAULT_STEP: 1 + 2D map calls per point, O(h²)."""
+    h = DEFAULT_STEP
 
-    def f(us):
-        return np.stack([_eval(spec, u) for u in us])
+    def f(us):   # (..., n) -> (..., N), one map call per point
+        out = [np.asarray(spec.map(u), dtype=float) for u in us.reshape(-1, spec.n)]
+        shape = next((v.shape for v in out if v.shape != (spec.N,)), None)
+        if shape is not None:
+            raise ValueError(f"map returned shape {shape}, expected ({spec.N},)")
+        return np.reshape(out, (*us.shape[:-1], spec.N))
 
     f0 = f(points)
-    plus = [f(points + step * eye[i]) for i in range(n)]
-    minus = [f(points - step * eye[i]) for i in range(n)]
-    jac = np.stack([(plus[i] - minus[i]) / (2 * step) for i in range(n)], axis=-1)
-    hess = np.empty((len(points), spec.N, n, n))
-    for i in range(n):
-        hess[:, :, i, i] = (plus[i] - 2 * f0 + minus[i]) / step**2
-    for i, j in itertools.combinations(range(n), 2):
-        both, skew = step * (eye[i] + eye[j]), step * (eye[i] - eye[j])
-        mixed = (f(points + both) - f(points + skew) - f(points - skew)
-                 + f(points - both)) / (4 * step**2)
-        hess[:, :, i, j] = hess[:, :, j, i] = mixed
-    return f0, jac, hess
+    plus, minus = f(points[:, None] + h * dirs), f(points[:, None] - h * dirs)
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf: _jets names the point
+        return f0, (plus - minus) / (2 * h), (plus - 2 * f0[:, None] + minus) / (2 * h**2)
 
 
 def differentiate(spec: ImmersionSpec, u):
@@ -366,7 +363,12 @@ def _saddle_map(u: np.ndarray) -> np.ndarray:
     return np.array([x, y, (x * x - y * y) / 2.0])
 
 
-BUILTINS = ("veronese", "clifford", "graph")
+# name -> (map, n, N, ambient, bounds)
+BUILTINS = {
+    "veronese": (_veronese_map, 2, 5, Ambient("sphere", 1.0), ((0.0, np.pi), (0.0, 2.0 * np.pi))),
+    "clifford": (_clifford_map, 2, 4, Ambient("sphere", 1.0), ((0.0, 2.0 * np.pi),) * 2),
+    "graph": (_saddle_map, 2, 3, Ambient("euclidean"), ((-1.0, 1.0),) * 2),
+}
 
 
 def builtin(name: str) -> ImmersionSpec:
@@ -376,16 +378,7 @@ def builtin(name: str) -> ImmersionSpec:
     clifford:  minimal torus in S^3(1) with S = 2 and K = 0;
     graph:     the saddle z = (x^2 - y^2)/2 in R^3 (K = -1 at the origin).
     """
-    if name == "veronese":
-        return ImmersionSpec(map=_veronese_map, n=2, N=5,
-                             ambient=Ambient("sphere", 1.0),
-                             bounds=((0.0, np.pi), (0.0, 2.0 * np.pi)))
-    if name == "clifford":
-        return ImmersionSpec(map=_clifford_map, n=2, N=4,
-                             ambient=Ambient("sphere", 1.0),
-                             bounds=((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi)))
-    if name == "graph":
-        return ImmersionSpec(map=_saddle_map, n=2, N=3,
-                             ambient=Ambient("euclidean"),
-                             bounds=((-1.0, 1.0), (-1.0, 1.0)))
-    raise ValueError(f"unknown builtin immersion {name!r} (expected one of {BUILTINS})")
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin immersion {name!r} "
+                         f"(expected one of {tuple(BUILTINS)})")
+    return ImmersionSpec(*BUILTINS[name])

@@ -16,9 +16,17 @@ import numpy as np
 from .curvature import FundamentalData, negligible_trace
 
 
+def _zero_forms(n: int, p: int) -> np.ndarray:
+    """The (p, n, n) zero stack.  A size below one gets FundamentalData's own message
+    here, before numpy refuses a negative size or a mean member indexes an empty stack."""
+    if n < 1 or p < 1:
+        raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
+    return np.zeros((p, n, n))
+
+
 def totally_geodesic(n: int, p: int, c: float) -> FundamentalData:
     """Vanishing second fundamental form; K is identically c."""
-    return FundamentalData(n=n, p=p, c=c, forms=np.zeros((p, n, n)))
+    return FundamentalData(n=n, p=p, c=c, forms=_zero_forms(n, p))
 
 
 def product_of_spheres(n: int, k: int, c: float = 1.0) -> FundamentalData:
@@ -38,32 +46,25 @@ def product_of_spheres(n: int, k: int, c: float = 1.0) -> FundamentalData:
     return FundamentalData(n=n, p=1, c=c, forms=np.diag(diag)[None, :, :])
 
 
-def _veronese_pair(scale: float) -> np.ndarray:
-    a1 = np.array([[1.0, 0.0], [0.0, -1.0]]) / np.sqrt(3.0)
-    a2 = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(3.0)
-    return scale * np.stack([a1, a2])
-
-
 def veronese(c: float = 1.0, H: float = 0.0) -> FundamentalData:
     """Veronese surface data: n = 2, constant K = (c + H^2)/3.
 
-    H = 0 gives the minimal surface (p = 2, S = (4/3) c); H != 0 prepends the
-    umbilical mean member H*I (p = 3, parallel mean, S_I = (4/3)(c + H^2)).
+    H = 0 gives the minimal surface (p = 2, S = (4/3) c); H != 0 extends the minimal
+    one at c + H^2 by the umbilical mean member H*I (p = 3, parallel mean,
+    S_I = (4/3)(c + H^2)).
     """
     amb = c + H * H
-    if amb <= 0:
-        raise ValueError(f"need c + H^2 > 0, got {amb}")
-    pair = _veronese_pair(np.sqrt(amb))
-    if H == 0:
-        return FundamentalData(n=2, p=2, c=c, forms=pair)
-    mean = H * np.eye(2)
-    return FundamentalData(n=2, p=3, c=c, forms=np.concatenate([mean[None], pair]),
-                           mean_index=0)
+    if not 0 < amb < np.inf:
+        raise ValueError(f"need c + H^2 > 0 and finite, got {amb}")
+    if H != 0:
+        return pseudo_umbilical_extend(veronese(amb), H, c)
+    pair = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]) / np.sqrt(3.0)
+    return FundamentalData(n=2, p=2, c=c, forms=np.sqrt(amb) * pair)
 
 
 def umbilical_sphere(n: int, p: int, c: float, H: float) -> FundamentalData:
     """Totally umbilical data: mean member H*I_n, all other members zero."""
-    forms = np.zeros((p, n, n))
+    forms = _zero_forms(n, p)
     forms[0] = H * np.eye(n)
     return FundamentalData(n=n, p=p, c=c, forms=forms, mean_index=0)
 

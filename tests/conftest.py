@@ -9,11 +9,6 @@ import numpy as np
 from rigidity.curvature import FundamentalData
 
 
-def seed_sequence(seed) -> np.random.SeedSequence:
-    """A SeedSequence as is; anything else (int, None, entropy list) wrapped in one."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-
-
 def random_tuple(dim, count, seed=0, scale=1.0, traceless=False):
     """(count, dim, dim) stack of symmetrized Gaussian matrices from one generator.
 

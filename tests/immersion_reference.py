@@ -2,9 +2,10 @@
 
 This is the straightforward form of what `immersion` runs as one batch for a
 map that rejects Taylor numbers: every parameter point gets its own
-1 + 2n + 4·C(n, 2) map calls, its own metric `eigh` and its own pivoted
-Gram-Schmidt.  It shares no sampling code with the package, so tests can hold
-the batched kernel's difference samples to it bit for bit.
+1 + 2D map calls, two along each of the D = n(n+1)/2 directions e_i and
+e_i + e_j, its own metric `eigh` and its own pivoted Gram-Schmidt.  It shares
+no sampling code with the package, so tests can hold the batched kernel's
+difference samples to it bit for bit.
 """
 
 import numpy as np
@@ -27,22 +28,33 @@ def _unit(n, i):
 
 
 def jets(spec, u, step):
-    """F(u), the Jacobian (N, n) and the Hessian stack (N, n, n) from one stencil."""
+    """F(u), the Jacobian (N, n) and the Hessian stack (N, n, n) from one stencil.
+
+    Along a direction d, c1 = (F(u + h·d) - F(u - h·d)) / 2h approximates the
+    derivative and c2 = (F(u + h·d) - 2F(u) + F(u - h·d)) / 2h² half the second
+    derivative d·Hess·d.  So Hess_ii = 2·c2(e_i) and
+    Hess_ij = c2(e_i + e_j) - c2(e_i) - c2(e_j).
+    """
     n = spec.n
     f0 = _eval(spec, u)
-    plus = [_eval(spec, u + step * _unit(n, i)) for i in range(n)]
-    minus = [_eval(spec, u - step * _unit(n, i)) for i in range(n)]
-    jac = np.column_stack([(plus[i] - minus[i]) / (2 * step) for i in range(n)])
-    hess = np.zeros((spec.N, n, n))
+
+    def coefficients(d):
+        fp = _eval(spec, u + step * d)
+        fm = _eval(spec, u - step * d)
+        return (fp - fm) / (2 * step), (fp - 2 * f0 + fm) / (2 * step**2)
+
+    jac = np.zeros((spec.N, n))
+    half = {}
     for i in range(n):
-        hess[:, i, i] = (plus[i] - 2 * f0 + minus[i]) / step**2
+        jac[:, i], half[i, i] = coefficients(_unit(n, i))
     for i in range(n):
         for j in range(i + 1, n):
-            pp = _eval(spec, u + step * (_unit(n, i) + _unit(n, j)))
-            pm = _eval(spec, u + step * (_unit(n, i) - _unit(n, j)))
-            mp = _eval(spec, u - step * (_unit(n, i) - _unit(n, j)))
-            mm = _eval(spec, u - step * (_unit(n, i) + _unit(n, j)))
-            mixed = (pp - pm - mp + mm) / (4 * step**2)
+            _, half[i, j] = coefficients(_unit(n, i) + _unit(n, j))
+    hess = np.zeros((spec.N, n, n))
+    for i in range(n):
+        hess[:, i, i] = 2.0 * half[i, i]
+        for j in range(i + 1, n):
+            mixed = half[i, j] - half[i, i] - half[j, j]
             hess[:, i, j] = mixed
             hess[:, j, i] = mixed
     return f0, jac, hess

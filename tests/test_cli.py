@@ -657,6 +657,14 @@ class TestModelCommand:
         code, _, _ = run(capsys, "model", "moebius")
         assert code == 5
 
+    @pytest.mark.parametrize("kind", ["totally-geodesic", "umbilical-sphere"])
+    @pytest.mark.parametrize("n,p", [("3", "0"), ("3", "-1"), ("-1", "2")])
+    def test_sizes_below_one_are_labelled(self, capsys, kind, n, p):
+        code, out, err = run(capsys, "model", kind, "--n", n, "--p", p,
+                             *(["--H", "0.5"] if kind == "umbilical-sphere" else []))
+        assert (code, out) == (3, "")
+        assert err == f"error: need n >= 1 and p >= 1, got n={n}, p={p}\n"
+
 
 class TestImmersionCommand:
     def test_grid_samples_round_trip(self, capsys):

@@ -8,7 +8,8 @@ Known values used as oracles:
 
 The second jets are exact (Taylor arithmetic), so these hold to round-off.
 A map that rejects Taylor numbers falls back to central differences at
-DEFAULT_STEP, which must give the bits of the per-point stencil in
+DEFAULT_STEP along the same directions e_i and e_i + e_j, 1 + n(n+1) map
+calls per point, which must give the bits of the per-point stencil in
 `immersion_reference`; that stencil is second order, so halving its step must
 shrink the curvature error by almost exactly 4.  The batched kernel must give
 every point the bits it gives that point alone.
@@ -50,7 +51,7 @@ def curvature_at(sample):
 
 class TestDifferentiate:
     def test_exact_on_quadratics(self):
-        # central differences are exact (up to round-off) for degree-2 maps
+        # the builtin saddle runs on exact Taylor jets: F, J and H to round-off
         u = np.array([0.3, -0.4])
         jac, hess = differentiate(SADDLE, u)
         npt.assert_allclose(jac, np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.4]]),
@@ -286,8 +287,24 @@ class TestBatchedKernel:
         spec = ImmersionSpec(map=counted, n=2, N=4, ambient=TORUS.ambient,
                              bounds=TORUS.bounds)
         fallback = sample_grid(spec, 4)
-        assert len(calls) == 1 + 9 * 16   # the rejected jet call, then 9 per point
+        assert len(calls) == 1 + 7 * 16   # the rejected jet call, then 1 + n(n+1) per point
         assert fallback == ref.sample_grid(spec, 4, DEFAULT_STEP)
+
+    def test_three_dimensional_fallback_stencil(self):
+        # a hypersurface graph over R^3 through math.sin: D = 6 directions, 13 calls a point
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            x, y, z = u
+            return np.array([x, y, z, math.sin(x) * math.cos(y) + x * z - z * z / 2.0])
+
+        spec = ImmersionSpec(map=counted, n=3, N=4, ambient=Ambient("euclidean"),
+                             bounds=((-1.0, 1.0),) * 3)
+        fallback = sample_grid(spec, 2)
+        assert len(calls) == 1 + 13 * 8
+        assert fallback == ref.sample_grid(spec, 2, DEFAULT_STEP)
+        assert fallback[0].data.forms.shape == (1, 3, 3)
 
     @pytest.mark.parametrize("spec,S,K", [(SPHERE_QUAD, 4.0 / 3.0, 1.0 / 3.0),
                                           (TORUS, 2.0, 0.0)], ids=["veronese", "clifford"])
@@ -305,6 +322,25 @@ class TestBatchedKernel:
         for sample in sample_grid(plane, 3):
             assert np.all(sample.data.forms == 0.0)
             npt.assert_array_equal(sample.position[2], 1.5)
+
+    @pytest.mark.parametrize("value", [
+        lambda u: np.array([u[0], u[1], math.nan]),   # exact jets: a constant NaN
+        lambda u: np.array([u[0], u[1], np.sqrt(u[0] - 0.5)]),   # differences: sqrt rejects jets
+        # differences, finite at u = (0.25, 0.25) itself but infinite one step along e_0
+        lambda u: np.array([u[0], u[1], math.inf if 0.25 < u[0] < 0.3 else math.sin(u[0])]),
+    ], ids=["exact", "step", "step-neighbour"])
+    def test_non_finite_values_name_the_first_bad_point(self, value):
+        def quiet(u):
+            with np.errstate(invalid="ignore"):   # the map's own sqrt of a negative
+                return value(u)
+
+        spec = ImmersionSpec(map=quiet, n=2, N=3, ambient=Ambient("euclidean"),
+                             bounds=((0.0, 1.0), (0.0, 1.0)))
+        message = r"not finite at u=\[0\.25, 0\.25\]"
+        with pytest.raises(ValueError, match=message):
+            sample_grid(spec, 2)
+        with pytest.raises(ValueError, match=message):
+            differentiate(spec, np.array([0.25, 0.25]))
 
     def test_errors_name_the_first_bad_point(self):
         def dented(u):

@@ -9,7 +9,7 @@ so batching cannot change a single bit or error message.
 import numpy as np
 import pytest
 
-from conftest import make_minimal, random_tuple, seed_sequence
+from conftest import make_minimal, random_tuple
 from rigidity.curvature import FundamentalData, gram_diagonalize, kmin_bracket, negligible_trace
 from rigidity.ddvv import (
     commutator_energy,
@@ -158,11 +158,6 @@ class TestShared:
             assert str(simons_err.value) == str(gram_err.value)
         assert data.restriction() == (0, 1, 2)
         assert data.restriction([2, 0]) == (2, 0)
-
-    def test_seed_sequence(self):
-        ss = np.random.SeedSequence(5)
-        assert seed_sequence(ss) is ss
-        assert seed_sequence(5).entropy == 5
 
     def test_one_seed_rule(self):
         # the plane search and the ratio ascent draw their starts alike, and refuse alike

@@ -7,6 +7,8 @@ Oracle values (exact arithmetic):
     umbilical_sphere:      K = c + H^2,  S = n H^2,  S_I = 0
 """
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -55,6 +57,14 @@ class TestVeronese:
         with pytest.raises(ValueError, match="c \\+ H\\^2 > 0"):
             veronese(-1.0, 0.5)
 
+    # a NaN or infinite pinch scale is named as such, not as a NaN ambient c of the
+    # minimal datum it extends, nor as an inf * 0 warning inside the forms
+    @pytest.mark.parametrize("c,H", [(1.0, math.nan), (1.0, math.inf), (1.0, 1e200),
+                                     (math.nan, 0.0), (math.inf, 0.0)])
+    def test_rejects_non_finite_pinch_scale(self, c, H):
+        with pytest.raises(ValueError, match=r"^need c \+ H\^2 > 0 and finite, got (nan|inf)$"):
+            veronese(c, H)
+
 
 class TestProductOfSpheres:
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (5, 2), (6, 3)])
@@ -100,12 +110,23 @@ class TestUmbilicalAndGeodesic:
         b = kmin_bracket(data, budget=8, seed=0)
         npt.assert_allclose([b.lo, b.hi], 1.25, rtol=1e-12)  # K = c + H^2
 
+    # an empty or negative size is refused with FundamentalData's own message, not an
+    # IndexError at the mean member or numpy's "negative dimensions"
+    @pytest.mark.parametrize("build", [
+        lambda n, p: totally_geodesic(n, p, 1.0),
+        lambda n, p: umbilical_sphere(n, p, 1.0, 0.5),
+    ], ids=["totally-geodesic", "umbilical-sphere"])
+    @pytest.mark.parametrize("n,p", [(3, 0), (3, -1), (-1, 2), (0, 2)])
+    def test_rejects_sizes_below_one(self, build, n, p):
+        with pytest.raises(ValueError, match=rf"^need n >= 1 and p >= 1, got n={n}, p={p}$"):
+            build(n, p)
+
 
 class TestPseudoUmbilicalExtend:
     def test_reproduces_veronese_mean_family(self):
         # exact: the minimal Veronese at pinch scale c + H^2, extended by H*I,
         # is the mean-curvature Veronese at ambient c
-        for (c, H) in [(1.0, 0.5), (0.5, 1.0), (-0.5, 1.2)]:
+        for (c, H) in [(1.0, 0.5), (0.5, 1.0), (-0.5, 1.2), (0.0, 1.0), (1.0, 1e-8)]:
             extended = pseudo_umbilical_extend(veronese(c + H * H, 0.0), H, c)
             assert extended == veronese(c, H), f"extension mismatch at (c,H)=({c},{H})"
 
