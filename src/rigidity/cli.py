@@ -267,29 +267,31 @@ def _timestamp(args) -> str | None:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _array_pass(first: FundamentalData, forms: np.ndarray) -> list[tuple]:
+def _array_pass(first: FundamentalData, forms: np.ndarray, args) -> list[tuple]:
     """(bracket, DDVV report) of each record of a shape group, from its stacked forms; the
-    bracket is None at n >= 3, where the plane search runs per record."""
-    from .curvature import surface_brackets
+    bracket is the error message of a group that has none (n = 1)."""
+    from .curvature import kmin_brackets
     from .ddvv import evaluate_stack
 
-    brackets = surface_brackets(forms, first.c) if first.n == 2 else [None] * len(forms)
+    try:
+        brackets = kmin_brackets(forms, first.c, budget=args.budget, seed=args.seed)
+    except ValueError as exc:
+        brackets = [str(exc)] * len(forms)
     return list(zip(brackets, evaluate_stack(forms)))
 
 
 def _check_one(item: tuple[str, FundamentalData], staged: tuple, args, stamp) -> dict:
     """The per-record stage of `check`, from the record's row of its array pass: the report
-    record, or {"input", "error"} when the plane search or a verdict raises."""
-    from .curvature import kmin_bracket
+    record, or {"input", "error"} when its bracket failed or a verdict raises."""
     from .pinching import verdict
 
     t0 = time.perf_counter()
     label, data = item
     bracket, dd = staged
+    if isinstance(bracket, str):
+        return {"input": label, "error": bracket}
     auto = "thm2" if data.mean_index is not None else "thm1"
     try:
-        if bracket is None:
-            bracket = kmin_bracket(data, budget=args.budget, seed=args.seed)
         verdicts = [verdict(data, auto if th == "auto" else th, tol=args.tol, bracket=bracket)
                     for th in args.theorem or ["auto"]]
     except ValueError as exc:  # pinching.HypothesisError included
@@ -310,9 +312,8 @@ def cmd_check(args) -> int:
     items = [item for path in args.inputs for item in load_inputs(path)]
     stamp = _timestamp(args)
 
-    # one array pass per group; it raises on no validated data (non-finite sums stay
-    # NaN/inf), so what can fail, the n >= 3 plane search and the verdicts, runs per record
-    staged = _by_group([data for _, data in items], _array_pass)
+    # one array pass per group brackets every record and evaluates its DDVV report
+    staged = _by_group([data for _, data in items], lambda f, forms: _array_pass(f, forms, args))
 
     if args.jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -18,17 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symmat import gram_frame, rotate_tuple, symmetrize_tuples
+from .symmat import adj2, det2, gram_frame, negligible_trace, rotate_tuple, symmetrize_tuples
 
-TRACE_TOL = 1e-10
-NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_bracket
-
-
-def negligible_trace(size, forms: np.ndarray, tol: float = TRACE_TOL):
-    """Whether a trace magnitude (chosen by the caller) is zero at scale max(1, n max|h|);
-    record by record for a (..., p, n, n) stack of forms and sizes of shape (...)."""
-    scale = np.max(np.abs(forms), axis=(-3, -2, -1)) * forms.shape[-1]
-    return size <= tol * np.maximum(1.0, scale)
+NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_brackets
+GAUSS_BYTES = 1 << 18   # bytes of the (R, n, n, n, n) Gauss tensors one kmin_brackets slice holds
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +174,9 @@ def _gauss(forms: np.ndarray, c: float) -> np.ndarray:
     """R_ijkl of every record of an (R, p, n, n) stack sharing c, as (R, n, n, n, n)."""
     eye = np.eye(forms.shape[-1])
     const = c * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    quad = (np.einsum("raik,rajl->rijkl", forms, forms)
-            - np.einsum("rail,rajk->rijkl", forms, forms))
-    return const + quad
+    quad = np.einsum("raik,rajl->rijkl", forms, forms)
+    quad -= np.einsum("rail,rajk->rijkl", forms, forms)   # in place: one temporary of R n^4
+    return np.add(quad, const, out=quad)
 
 
 def riemann(data: FundamentalData) -> CurvatureTensor:
@@ -243,21 +236,6 @@ def _operator(components: np.ndarray) -> np.ndarray:
     return (mat + np.swapaxes(mat, 1, 2)) / 2.0
 
 
-def operator_bounds(forms: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature operators (R, N, N) of an (R, p, n, n) stack of forms sharing c, and their
-    ascending eigenvalues (R, N): each operator's lowest is the lower end of kmin_bracket."""
-    op = _operator(_gauss(forms, c))
-    return op, np.linalg.eigvalsh(op)
-
-
-def surface_brackets(forms: np.ndarray, c: float) -> list[Bracket]:
-    """kmin_bracket of every record of an (R, p, 2, 2) stack sharing c.
-
-    A surface has one tangent plane, so its operator bound is K itself: lo = hi.
-    """
-    return [Bracket(lo=k, hi=k) for k in operator_bounds(forms, c)[1][:, 0].tolist()]
-
-
 def _gram_schmidt(x: np.ndarray) -> np.ndarray:
     """Orthonormalize the two columns of every (n, 2) frame in a (S, n, 2) stack."""
     u = x[..., 0] / np.linalg.norm(x[..., 0], axis=-1, keepdims=True)
@@ -266,34 +244,26 @@ def _gram_schmidt(x: np.ndarray) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
-def _frame_terms(data: FundamentalData, x: np.ndarray):
-    """H_a x as (S, p, n, 2), P_a = x^T H_a x as (S, p, 2, 2) and x^T x as (S, 2, 2)."""
+def _frame_terms(forms: np.ndarray, x: np.ndarray):
+    """H_a x as (S, p, n, 2), P_a = x^T H_a x as (S, p, 2, 2) and x^T x as (S, 2, 2), for
+    (p, n, n) forms and S frames, or (S, p, n, n) forms and one frame per record."""
     xt = np.swapaxes(x, 1, 2)
-    hx = data.forms @ x[:, None]
+    hx = forms @ x[:, None]
     return hx, xt[:, None] @ hx, xt @ x
 
 
-def _det2(m: np.ndarray) -> np.ndarray:
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def _adj2(m: np.ndarray) -> np.ndarray:
-    return np.stack([np.stack([m[..., 1, 1], -m[..., 0, 1]], axis=-1),
-                     np.stack([-m[..., 1, 0], m[..., 0, 0]], axis=-1)], axis=-2)
-
-
-def _frame_values(data: FundamentalData, x: np.ndarray) -> np.ndarray:
-    """R(u, v, u, v) for every frame x = [u v] of a (S, n, 2) stack.
+def _frame_values(forms: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
+    """R(u, v, u, v) for every frame x = [u v] of a (S, n, 2) stack, paired as _frame_terms.
 
     By the Gauss equation this is sum_a det(x^T H_a x) + c det(x^T x), i.e.
     sum_a [(u.H_a u)(v.H_a v) - (u.H_a v)^2] + c (|u|^2 |v|^2 - (u.v)^2):
     K(u, v) on orthonormal frames, at O(S p n^2) cost with no n^4 tensor.
     """
-    _, pair, gram = _frame_terms(data, x)
-    return np.sum(_det2(pair), axis=1) + data.c * _det2(gram)
+    _, pair, gram = _frame_terms(forms, x)
+    return np.sum(det2(pair), axis=1) + c * det2(gram)
 
 
-def _newton_terms(data: FundamentalData, x: np.ndarray):
+def _newton_terms(forms: np.ndarray, x: np.ndarray):
     """Riemannian gradient and Hessian of K on Gr(2, n) at orthonormal frames x.
 
     Tangent steps at x are Q B, with Q an orthonormal basis of x-perp and B an
@@ -309,21 +279,21 @@ def _newton_terms(data: FundamentalData, x: np.ndarray):
     and z = vec(b with its two columns swapped), and c - K = -sum_a det P_a.
     Returns (Q, g, Hessian).
     """
-    s, m = len(x), 2 * (data.n - 2)
+    s, m = len(x), 2 * (forms.shape[-1] - 2)
     q = np.linalg.qr(x, mode="complete")[0][..., 2:]
     qt = np.swapaxes(q, 1, 2)[:, None]
-    hx, pair, _ = _frame_terms(data, x)
-    adj = _adj2(pair)
+    hx, pair, _ = _frame_terms(forms, x)
+    adj = adj2(pair)
     b = qt @ hx
-    a = qt @ data.forms @ q[:, None]
+    a = qt @ forms @ q[:, None]
     vwz = np.stack([b, b * np.array([1.0, -1.0]), b[..., ::-1]]).reshape(3, s, -1, m)
     hess = (np.einsum("sakl,saij->skilj", a, adj).reshape(s, m, m)
             + np.einsum("r,rsai,rsaj->sij", np.array([1.0, -1.0, -1.0]), vwz, vwz)
-            - np.sum(_det2(pair), axis=1)[:, None, None] * np.eye(m))
+            - np.sum(det2(pair), axis=1)[:, None, None] * np.eye(m))
     return q, 2.0 * np.sum(b @ adj, axis=1), 2.0 * hess
 
 
-def _descend_frames(data: FundamentalData, x0: np.ndarray, iters: int) -> np.ndarray:
+def _descend_frames(forms: np.ndarray, c: float, x0: np.ndarray, iters: int) -> np.ndarray:
     """Safeguarded Riemannian Newton descent of K on Gr(2, n), all starts at once.
 
     Each step solves the Newton system of _newton_terms in the eigenbasis of
@@ -338,13 +308,13 @@ def _descend_frames(data: FundamentalData, x0: np.ndarray, iters: int) -> np.nda
     every start.
     """
     x = _gram_schmidt(x0)
-    f = _frame_values(data, x)
+    f = _frame_values(forms, c, x)
     act = np.arange(len(x))
     for _ in range(iters):
         if not act.size:
             break
         xa, fa = x[act], f[act]
-        q, g, hess = _newton_terms(data, xa)
+        q, g, hess = _newton_terms(forms, xa)
         lam, vec = np.linalg.eigh(hess)
         floor = np.maximum(1e-8 * np.max(np.abs(lam), axis=1, keepdims=True), np.finfo(float).tiny)
         coef = np.einsum("sji,sj->si", vec, g.reshape(len(xa), -1))
@@ -361,7 +331,7 @@ def _descend_frames(data: FundamentalData, x0: np.ndarray, iters: int) -> np.nda
             if not search.size:
                 break
             cand = _gram_schmidt(xa[search] + t * step[search])
-            fc = _frame_values(data, cand)
+            fc = _frame_values(forms, c, cand)
             better = fc < fa[search]
             xn[search[better]], fn[search[better]] = cand[better], fc[better]
             search = search[~better]
@@ -377,44 +347,48 @@ def _descend_frames(data: FundamentalData, x0: np.ndarray, iters: int) -> np.nda
 _HODGE4 = np.fliplr(np.diag([1.0, -1.0, 1.0, 1.0, -1.0, 1.0]))
 
 
-def _nearest_plane(w: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal (n, 2) frame of the plane nearest the 2-vector w.
+def _nearest_planes(w: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal (n, 2) frame of the plane nearest each 2-vector of an (R, N) stack.
 
     The top singular pair of w's skew matrix spans it; for a decomposable
     w = u ^ v that plane is span(u, v) itself.
     """
     i, j = np.triu_indices(n, 1)
-    skew = np.zeros((n, n))
-    skew[i, j], skew[j, i] = w, -w
-    return np.linalg.svd(skew)[2][:2].T
+    skew = np.zeros((len(w), n, n))
+    skew[:, i, j], skew[:, j, i] = w, -w
+    return np.swapaxes(np.linalg.svd(skew)[2][:, :2], 1, 2)
 
 
-def _thorpe(op: np.ndarray, vals: np.ndarray) -> tuple[float, np.ndarray]:
-    """max_t lambda_min(op + t *) on Lambda^2 R^4 and a bottom eigenvector there.
+def _thorpe(op: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max_t lambda_min(op + t *) on Lambda^2 R^4 and a bottom eigenvector there, for every
+    operator of an (R, 6, 6) stack with ascending eigenvalues vals.
 
     Every decomposable unit w has <w, *w> = 0, so each f(t) = lambda_min(op + t *)
     bounds K_min from below (Thorpe's trick).  f is concave and, since * has
     eigenvalues +-1, f(t) < f(0) once |t| > lambda_max(op) - lambda_min(op).  A
     unit bottom eigenvector w gives the supergradient <w, *w>, so bisection on
-    its sign closes on the maximizer; 53 halvings reach ulp(T).  Returns the
-    largest f seen (t = 0 included, as vals[0]) and the eigenvector there.
+    its sign closes on the maximizer; 53 halvings reach ulp(T), or a slope of
+    exactly 0 stops that operator.  Returns the largest f seen (t = 0 included,
+    as vals[:, 0], which a tie keeps) and the eigenvector there.
     """
-    a = -float(vals[-1] - vals[0])
-    b, best, w = -a, -np.inf, None
+    a = -(vals[:, -1] - vals[:, 0])
+    b, best, w, act = -a, np.full(len(op), -np.inf), np.zeros(op.shape[:2]), np.arange(len(op))
     for _ in range(53):
-        t = (a + b) / 2.0
-        lam, vec = np.linalg.eigh(op + t * _HODGE4)
-        if lam[0] > best:
-            best, w = lam[0], vec[:, 0]
-        slope = vec[:, 0] @ _HODGE4 @ vec[:, 0]
-        if slope == 0.0:
+        if not act.size:
             break
-        a, b = (t, b) if slope > 0.0 else (a, t)
-    return max(float(vals[0]), float(best)), w
+        t = (a[act] + b[act]) / 2.0
+        lam, vec = np.linalg.eigh(op[act] + t[:, None, None] * _HODGE4)
+        up = lam[:, 0] > best[act]
+        best[act[up]], w[act[up]] = lam[up, 0], vec[up, :, 0]
+        slope = ((vec[..., 0] @ _HODGE4)[:, None] @ vec[..., :1])[:, 0, 0]
+        a[act], b[act] = np.where(slope > 0.0, t, a[act]), np.where(slope > 0.0, b[act], t)
+        act = act[slope != 0.0]
+    return np.where(best > vals[:, 0], best, vals[:, 0]), w
 
 
-def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
-    """Certified bracket lo <= K_min <= hi for the minimal sectional curvature.
+def kmin_brackets(forms: np.ndarray, c: float, budget: int = 64, seed=0) -> list[Bracket]:
+    """Certified brackets lo <= K_min <= hi of the minimal sectional curvature, one per
+    record of an (R, p, n, n) stack of forms sharing c.
 
     lo starts as the smallest eigenvalue of the curvature operator on
     Lambda^2 (K(u, v) is its quadratic form at the unit 2-vector u ^ v); hi is
@@ -428,39 +402,45 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
     the operator bound.  The search is one batched Riemannian Newton descent
     (_descend_frames, at most NEWTON_ITERS steps) over every coordinate
     plane, `budget` random orthonormal 2-frames and the closed-form plane.
+    All but the search run on the stack at once, in slices whose Gauss
+    tensors fit GAUSS_BYTES; the search runs per open record.
 
-    The random frames are `budget * n * 2` standard normals, in order, from
-    CPython's `random.Random(seed).gauss`: frame k depends only on the seed
-    and k, so a larger budget only appends starts.  `seed` is None (fresh OS
-    entropy) or a non-negative int; anything else raises ValueError.
+    Each open record's random frames are `budget * n * 2` standard normals, in
+    order, from CPython's `random.Random(seed).gauss`: frame k depends only on
+    the seed and k, so a larger budget only appends starts.  `seed` is None
+    (fresh OS entropy) or a non-negative int; anything else raises ValueError.
     """
-    if data.n < 2:
+    n = forms.shape[-1]
+    if n < 2:
         raise ValueError("sectional curvature needs n >= 2")
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise ValueError(f"seed must be None or an int >= 0, got {seed!r}")
-    if data.n == 2:
-        return surface_brackets(data.forms[None], data.c)[0]
-    op, vals = (a[0] for a in operator_bounds(data.forms[None], data.c))
+    size, brackets = max(1, GAUSS_BYTES // (8 * n**4)), []
+    for part in (forms[s:s + size] for s in range(0, len(forms), size)):
+        op = _operator(_gauss(part, c))
+        vals = np.linalg.eigvalsh(op)
+        lo = hi = vals[:, 0]   # n = 2: the one plane's K is the operator bound
+        if n > 2:
+            lo, w = _thorpe(op, vals) if n == 4 else (lo, np.linalg.eigh(op)[1][..., 0])
+            closed = _nearest_planes(w, n)
+            hi = _frame_values(part, c, closed)
+            for k in np.flatnonzero(hi - lo > 1e-12 * np.maximum(1.0, np.abs(hi))):
+                import random   # not numpy.random, which costs a check ~6 MB (secrets, OpenSSL)
+                starts = [np.stack([np.eye(n)[i] for i in np.triu_indices(n, 1)], axis=-1),
+                          np.fromiter(iter(random.Random(seed).gauss, None), float,
+                                      budget * n * 2).reshape(budget, n, 2), closed[k:k + 1]]
+                hi[k] = min(hi[k], np.min(_descend_frames(part[k], c, np.concatenate(starts),
+                                                          NEWTON_ITERS)))
+        # hi, a sectional value, is >= lo up to a few ulp of round-off: clamp it to lo
+        brackets += [Bracket(lo=a, hi=max(a, b)) for a, b in zip(lo.tolist(), hi.tolist())]
+    return brackets
 
-    lo, w = _thorpe(op, vals) if data.n == 4 else (float(vals[0]), np.linalg.eigh(op)[1][:, 0])
-    closed = [_nearest_plane(w, data.n)]
-    hi = float(_frame_values(data, closed[0][None])[0])
-    if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-        return Bracket(lo=lo, hi=max(lo, hi))
 
-    import random   # not numpy.random, which costs every check ~6 MB (secrets, OpenSSL)
-
-    gauss = random.Random(seed).gauss
-    eye = np.eye(data.n)
-    starts = ([np.column_stack([eye[i], eye[j]]) for i, j in zip(*np.triu_indices(data.n, 1))]
-              + list(np.reshape([gauss() for _ in range(budget * data.n * 2)],
-                                (budget, data.n, 2))) + closed)
-    hi = min(hi, float(np.min(_descend_frames(data, np.stack(starts), NEWTON_ITERS))))
-    # hi is a sectional value, so hi >= K_min >= lo up to evaluation round-off;
-    # clamp the few-ulp drift so the bracket invariant holds exactly.
-    return Bracket(lo=lo, hi=max(lo, hi))
+def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
+    """kmin_brackets of one record, its forms a stack of one: lo <= K_min <= hi."""
+    return kmin_brackets(data.forms[None], data.c, budget, seed)[0]
 
 
 # -- frame normalizations -----------------------------------------------------

@@ -65,6 +65,8 @@ def veronese(c: float = 1.0, H: float = 0.0) -> FundamentalData:
 def umbilical_sphere(n: int, p: int, c: float, H: float) -> FundamentalData:
     """Totally umbilical data: mean member H*I_n, all other members zero."""
     forms = _zero_forms(n, p)
+    if not np.isfinite(H):   # before H * I, which would warn
+        raise ValueError(f"mean curvature H must be finite, got H={H}")
     forms[0] = H * np.eye(n)
     return FundamentalData(n=n, p=p, c=c, forms=forms, mean_index=0)
 
@@ -79,8 +81,9 @@ def pseudo_umbilical_extend(data: FundamentalData, H: float, c: float) -> Fundam
         raise ValueError("pseudo-umbilical extension needs minimal (traceless) data")
     if H == 0:
         raise ValueError("extension with H = 0 is the minimal datum itself")
-    mean = H * np.eye(data.n)
-    forms = np.concatenate([mean[None], data.forms])
+    if not np.isfinite(H):
+        raise ValueError(f"mean curvature H must be finite, got H={H}")
+    forms = np.concatenate([H * np.eye(data.n)[None], data.forms])
     return FundamentalData(n=data.n, p=data.p + 1, c=c, forms=forms, mean_index=0)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 # is checked to a relative gate and then enforced exactly.
 SYMMETRY_RTOL = 1e-9
 ORTHOGONALITY_TOL = 1e-10
+TRACE_TOL = 1e-10
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -73,6 +74,24 @@ def rotate_tuple(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     if defect > ORTHOGONALITY_TOL:
         raise ValueError(f"rotation is not orthogonal: ||q^T q - I||_F = {defect:.3e}")
     return np.einsum("rs,sij->rij", q, t)
+
+
+def negligible_trace(size, forms: np.ndarray, tol: float = TRACE_TOL):
+    """Whether a trace magnitude (chosen by the caller) is zero at scale max(1, n max|h|);
+    record by record for a (..., p, n, n) stack of forms and sizes of shape (...)."""
+    scale = np.max(np.abs(forms), axis=(-3, -2, -1)) * forms.shape[-1]
+    return size <= tol * np.maximum(1.0, scale)
+
+
+def det2(m: np.ndarray) -> np.ndarray:
+    """The determinant of every 2 x 2 matrix of an (..., 2, 2) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def adj2(m: np.ndarray) -> np.ndarray:
+    """The adjugate [[d, -b], [-c, a]] of every 2 x 2 matrix [[a, b], [c, d]] of a stack."""
+    return np.stack([np.stack([m[..., 1, 1], -m[..., 0, 1]], axis=-1),
+                     np.stack([-m[..., 1, 0], m[..., 0, 0]], axis=-1)], axis=-2)
 
 
 def signfix(v: np.ndarray) -> np.ndarray:

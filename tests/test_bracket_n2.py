@@ -75,9 +75,9 @@ def test_search_still_runs_at_n5(monkeypatch):
     calls = []
     descend = curvature._descend_frames
 
-    def counted(data, x0, iters):
+    def counted(forms, c, x0, iters):
         calls.append(len(x0))
-        return descend(data, x0, iters)
+        return descend(forms, c, x0, iters)
 
     monkeypatch.setattr(curvature, "_descend_frames", counted)
     data = make_general(5, 2, 1.0, np.random.default_rng(7))

@@ -51,9 +51,9 @@ def _counting_descent(monkeypatch):
     calls = []
     descend = curvature._descend_frames
 
-    def counted(data, x0, iters):
+    def counted(forms, c, x0, iters):
         calls.append(len(x0))
-        return descend(data, x0, iters)
+        return descend(forms, c, x0, iters)
 
     monkeypatch.setattr(curvature, "_descend_frames", counted)
     return calls
@@ -100,8 +100,8 @@ def test_n3_is_operator_bound_and_bottom_plane():
     op = curvature_operator(riemann(data))
     b = kmin_bracket(data)
     assert b.lo == float(np.linalg.eigvalsh(op)[0])
-    x = curvature._nearest_plane(np.linalg.eigh(op)[1][:, 0], 3)
-    assert b.hi == max(b.lo, float(curvature._frame_values(data, x[None])[0]))
+    x = curvature._nearest_planes(np.linalg.eigh(op)[1][None, :, 0], 3)
+    assert b.hi == max(b.lo, float(curvature._frame_values(data.forms, data.c, x)[0]))
 
 
 def test_n4_raises_the_operator_bound():

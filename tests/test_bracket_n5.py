@@ -56,12 +56,13 @@ def test_newton_terms_match_geodesic_differences(n):
     rng = np.random.default_rng([n, 12])
     data = make_general(n, 3, 0.7, rng)
     x = curvature._gram_schmidt(rng.normal(size=(4, n, 2)))
-    q, g, hess = curvature._newton_terms(data, x)
+    q, g, hess = curvature._newton_terms(data.forms, x)
     b = rng.normal(size=(4, n - 2, 2))
     b /= np.linalg.norm(b, axis=(1, 2), keepdims=True)
     h = 2.5e-3
     for k in range(4):
-        k_at = [curvature._frame_values(data, _geodesic(x[k], q[k] @ b[k], t * h)[None])[0]
+        k_at = [curvature._frame_values(data.forms, data.c,
+                                        _geodesic(x[k], q[k] @ b[k], t * h)[None])[0]
                 for t in (-2, -1, 0, 1, 2)]
         # fourth-order central differences: truncation ~h^4, round-off ~1e-16 / h^2
         d1 = (8 * (k_at[3] - k_at[1]) - (k_at[4] - k_at[0])) / (12 * h)
@@ -171,16 +172,16 @@ def test_seed_plane_is_a_start(monkeypatch):
     starts = []
     descend = curvature._descend_frames
 
-    def recorded(data, x0, iters):
+    def recorded(forms, c, x0, iters):
         starts.append(x0)
-        return descend(data, x0, 0)
+        return descend(forms, c, x0, 0)
 
     monkeypatch.setattr(curvature, "_descend_frames", recorded)
     b = kmin_bracket(data, budget=0, seed=0)
     op = curvature.curvature_operator(riemann(data))
-    seed_plane = curvature._nearest_plane(np.linalg.eigh(op)[1][:, 0], data.n)
-    assert len(starts) == 1 and np.array_equal(starts[0][-1], seed_plane)
-    assert b.hi == max(b.lo, float(curvature._frame_values(data, seed_plane[None])[0]))
+    seed_plane = curvature._nearest_planes(np.linalg.eigh(op)[1][None, :, 0], data.n)
+    assert len(starts) == 1 and np.array_equal(starts[0][-1], seed_plane[0])
+    assert b.hi == max(b.lo, float(curvature._frame_values(data.forms, data.c, seed_plane)[0]))
 
 
 def _random_starts_of(monkeypatch, data, budget, seed):
@@ -188,9 +189,9 @@ def _random_starts_of(monkeypatch, data, budget, seed):
     and the closed-form plane; the descent itself is skipped."""
     starts = []
 
-    def recorded(data, x0, iters):
+    def recorded(forms, c, x0, iters):
         starts.append(x0[data.n * (data.n - 1) // 2:-1])
-        return curvature._frame_values(data, curvature._gram_schmidt(x0))
+        return curvature._frame_values(forms, c, curvature._gram_schmidt(x0))
 
     monkeypatch.setattr(curvature, "_descend_frames", recorded)
     kmin_bracket(data, budget=budget, seed=seed)

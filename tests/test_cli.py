@@ -21,7 +21,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import packed_tuples, random_tuple
+from conftest import packed_tuples, random_orthogonal, random_tuple
 from rigidity import cli, curvature, ddvv
 from rigidity.cli import _dump, data_from_dict, data_to_dict, main
 from rigidity.curvature import FundamentalData
@@ -36,6 +36,7 @@ from rigidity.pinching import (
     threshold_thm2,
     threshold_yau,
 )
+from rigidity.symmat import rotate_tuple
 
 
 def run(capsys, *argv):
@@ -74,9 +75,9 @@ def counted_searches(monkeypatch) -> list:
     calls = []
     descend = curvature._descend_frames
 
-    def counted(data, x0, iters):
+    def counted(forms, c, x0, iters):
         calls.append(len(x0))
-        return descend(data, x0, iters)
+        return descend(forms, c, x0, iters)
 
     monkeypatch.setattr(curvature, "_descend_frames", counted)
     return calls
@@ -102,6 +103,14 @@ INDET_DATA = FundamentalData(
     n=5, p=3, c=1.0,
     forms=0.315848 * random_tuple(5, 3, np.random.default_rng(1), traceless=True),
 )
+
+
+def _turned(data, seed):
+    """data in random tangent and normal frames."""
+    rng = np.random.default_rng(seed)
+    tangent, normal = random_orthogonal(data.n, rng), random_orthogonal(data.p, rng)
+    return FundamentalData(n=data.n, p=data.p, c=data.c,
+                           forms=rotate_tuple(tangent.T @ data.forms @ tangent, normal))
 
 
 class TestSerialization:
@@ -255,19 +264,19 @@ class TestCheckCommand:
 
     def test_one_bracket_per_record(self, capsys, tmp_path, monkeypatch):
         calls = []
-        kmin_bracket, surface_brackets = curvature.kmin_bracket, curvature.surface_brackets
+        kmin_bracket, kmin_brackets = curvature.kmin_bracket, curvature.kmin_brackets
 
         def counted(data, *args, **kwargs):
             calls.append(data)
             return kmin_bracket(data, *args, **kwargs)
 
-        def counted_surfaces(forms, c):  # the n = 2 brackets of one array pass
+        def counted_stack(forms, *args, **kwargs):  # the brackets of one array pass
             calls.extend(forms)
-            return surface_brackets(forms, c)
+            return kmin_brackets(forms, *args, **kwargs)
 
-        # verdict and cli import kmin_bracket from curvature when they run
+        # verdict and cli import their bracket functions from curvature when they run
         monkeypatch.setattr(curvature, "kmin_bracket", counted)
-        monkeypatch.setattr(curvature, "surface_brackets", counted_surfaces)
+        monkeypatch.setattr(curvature, "kmin_brackets", counted_stack)
         batch = tmp_path / "batch.json"
         batch.write_text(json.dumps([data_to_dict(veronese(1.0, 0.0)),
                                      data_to_dict(totally_geodesic(3, 2, 1.0))]))
@@ -665,6 +674,15 @@ class TestModelCommand:
         assert (code, out) == (3, "")
         assert err == f"error: need n >= 1 and p >= 1, got n={n}, p={p}\n"
 
+    @pytest.mark.parametrize("H", ["inf", "-inf", "nan"])
+    def test_non_finite_mean_curvature_is_labelled(self, capsys, tmp_path, H):
+        # refused before H * I, whose RuntimeWarning the test configuration makes an error
+        report = tmp_path / "model.json"
+        code, out, err = run(capsys, "model", "umbilical-sphere", "--n", "3", "--p", "2",
+                             f"--H={H}", "--out", str(report))
+        assert (code, out, err) == (3, "", f"error: mean curvature H must be finite, got H={H}\n")
+        assert not report.exists()
+
 
 class TestImmersionCommand:
     def test_grid_samples_round_trip(self, capsys):
@@ -719,6 +737,24 @@ class TestImmersionCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak < 16 * 2**20
+
+    def test_check_memory_does_not_grow_with_the_group(self, tmp_path):
+        # one shape group of 400 n = 8 records: the bracket kernel builds their (n, n, n, n)
+        # Gauss tensors a slice at a time: 2.4 MiB here, as one record at a time did, where
+        # the whole group's tensors at once took 26 MiB
+        rng = np.random.default_rng(64)
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(FundamentalData(
+            n=8, p=1, c=1.0, forms=0.3 * random_tuple(8, 1, rng, traceless=True)))
+            for _ in range(400)]))
+        tracemalloc.start()
+        try:
+            code = main(["check", str(batch), "--no-timestamp", "--out", str(tmp_path / "r.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 1, 2)
+        assert peak < 6 * 2**20
 
     def test_check_consumes_immersion_output(self, capsys, tmp_path):
         out_file = tmp_path / "samples.json"
@@ -1147,6 +1183,13 @@ class TestArrayPass:
         FAILS_DATA,                                                            # n = 2, p = 2
         totally_geodesic(3, 2, -0.0),                                          # c = -0.0
         totally_geodesic(3, 2, 0.0),
+        FundamentalData(n=1, p=1, c=1.0, forms=[[[0.3]]]),                     # no bracket
+        FundamentalData(n=3, p=2, c=1.0, forms=random_tuple(3, 2, np.random.default_rng(10),
+                                                            scale=0.3, traceless=True)),
+        totally_geodesic(4, 2, 1.0),                                           # n = 4 group
+        FundamentalData(n=4, p=2, c=1.0, forms=random_tuple(4, 2, np.random.default_rng(11),
+                                                            scale=0.3, traceless=True)),
+        _turned(INDET_DATA, 65),                                               # INDET's group
     ]
 
     def _one_file_per_record(self, capsys, tmp_path, flags, labels):
@@ -1169,7 +1212,8 @@ class TestArrayPass:
         batch.write_text(json.dumps([data_to_dict(d) for d in self.RECORDS]))
         code, out, err = run(capsys, "check", str(batch), *flags)
         assert out == expected
-        assert err == errors and err.count("error: ") == 4
+        assert err == errors and err.count("error: ") == 5
+        assert "#11: sectional curvature needs n >= 2\n" in err
         assert "#9: thm1 is stated in a unit sphere, got c = -0.0\n" in err  # not grouped with #10
         assert code == worst == 3
 

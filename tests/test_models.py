@@ -121,6 +121,17 @@ class TestUmbilicalAndGeodesic:
         with pytest.raises(ValueError, match=rf"^need n >= 1 and p >= 1, got n={n}, p={p}$"):
             build(n, p)
 
+    # refused before H * I, whose RuntimeWarning the test configuration makes an error
+    @pytest.mark.parametrize("H", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_mean_curvature(self, H):
+        with pytest.raises(ValueError, match=rf"^mean curvature H must be finite, got H={H}$"):
+            umbilical_sphere(3, 2, 1.0, H)
+
+    def test_negative_mean_keeps_negative_zeros(self):
+        # H * I, not a filled diagonal: the off-diagonal entries of a negative H are -0.0
+        forms = umbilical_sphere(3, 2, 1.0, -0.5).forms
+        assert np.all(np.signbit(forms[0][~np.eye(3, dtype=bool)]))
+
 
 class TestPseudoUmbilicalExtend:
     def test_reproduces_veronese_mean_family(self):
@@ -137,6 +148,11 @@ class TestPseudoUmbilicalExtend:
     def test_rejects_zero_mean(self):
         with pytest.raises(ValueError):
             pseudo_umbilical_extend(veronese(1.0, 0.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("H", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_mean(self, H):
+        with pytest.raises(ValueError, match=rf"^mean curvature H must be finite, got H={H}$"):
+            pseudo_umbilical_extend(veronese(1.0, 0.0), H, 1.0)
 
 
 class TestBuildModel:

@@ -67,7 +67,7 @@ def test_every_subcommand_has_a_command(tmp_path):
 
 def test_searching_check_runs_the_plane_search(tmp_path, monkeypatch):
     """The plane-search command's input lands in its own directory, and every record in it
-    runs the multistart search from the CLI's default budget."""
+    runs the multistart search from the CLI's default budget: two open brackets a shape."""
     plans = {name: (cwd, commands) for name, cwd, commands in tool.plans(tool.SEEDS[0], tmp_path)}
     cwd, (cmd,) = plans["plane-search"]
     assert (cwd / "search.json").is_file() and cwd.parent == tmp_path
@@ -75,11 +75,11 @@ def test_searching_check_runs_the_plane_search(tmp_path, monkeypatch):
     calls = []
     descend = curvature._descend_frames
 
-    def counted(data, x0, iters):
+    def counted(forms, c, x0, iters):
         calls.append(len(x0))
-        return descend(data, x0, iters)
+        return descend(forms, c, x0, iters)
 
     monkeypatch.setattr(curvature, "_descend_frames", counted)
     monkeypatch.chdir(cwd)
     main([*cmd.argv, "--out", "report.json"])
-    assert len(calls) == cmd.items == len(tool.SEARCH_SHAPES)
+    assert len(calls) == cmd.items == 2 * len(tool.SEARCH_SHAPES) == 12

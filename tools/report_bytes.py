@@ -5,13 +5,14 @@
 Builds the commands of every workload in bench/workloads.py, plus the defect
 probe, at seeds 1-3, and once the unseeded `model`, `pinch`, large-tuple
 `ddvv --random`, 144-sample `immersion` and `check` commands and a `check` of
-minimal points whose plane search runs at the default budget; runs each one
-with `python -m rigidity.cli` against each root's src/, and lists every
-command whose exit code, stdout, stderr or output file differs.  Where a differing stdout or output file is JSON on both
-sides, up to 5 of its differing leaves follow, each as
-`path: parent → change`.  Exits 1 if any command differs, else 0.  The
-workloads are read from this checkout's bench/, which the check never writes;
-each root runs in its own temporary directory.
+minimal points whose plane searches run at the default budget, two to a shape
+group; runs each one with `python -m rigidity.cli` against each root's src/,
+and lists every command whose exit code, stdout, stderr or output file
+differs.  Where a differing stdout or output file is JSON on both sides, up to
+5 of its differing leaves follow, each as `path: parent → change`.  Exits 1 if
+any command differs, else 0.  The workloads are read from this checkout's
+bench/, which the check never writes; each root runs in its own temporary
+directory.
 """
 
 from __future__ import annotations
@@ -56,17 +57,19 @@ UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                          ["check", "samples.json", "--no-timestamp"])]
 
 
-# Minimal points in S^(n+p) at n in {5, 6, 8}, p in {2, 3}, whose K_min brackets stay open
-# after the closed-form plane: their check runs the plane search from the CLI's default 64
-# random starts, so a change to the start stream shows in their `hi`.
+# Minimal points in S^(n+p) at n in {5, 6, 8}, p in {2, 3}, two per shape, whose K_min
+# brackets stay open after the closed-form plane: their check runs the plane search from the
+# CLI's default 64 random starts, so a change to the start stream shows in their `hi`, and
+# each shape group holds two open brackets.
 SEARCH_SHAPES = [(5, 2), (5, 3), (6, 2), (6, 3), (8, 2), (8, 3)]
+SEARCH_SEEDS = ((), (1,))   # appended to [27, n, p]: each shape's two points
 
 
 def search_commands(cwd: Path) -> list:
     """Write the searching points to cwd/search.json; the one command that checks them."""
-    records = [workloads._record(0.5 * workloads._traceless(np.random.default_rng([27, n, p]),
-                                                            n, p), 1.0)
-               for n, p in SEARCH_SHAPES]
+    records = [workloads._record(0.5 * workloads._traceless(
+        np.random.default_rng([27, n, p, *extra]), n, p), 1.0)
+        for n, p in SEARCH_SHAPES for extra in SEARCH_SEEDS]
     (cwd / "search.json").write_text(json.dumps(records))
     argv = ["check", "search.json", "--seed", "1", "--no-timestamp"]
     return [workloads.Command(" ".join(argv), "check", argv, "", len(records))]
