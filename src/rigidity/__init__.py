@@ -21,7 +21,6 @@ _LAZY = {
     "ImmersionSpec": "immersion",
     "ModelSpec": "models",
     "PinchVerdict": "pinching",
-    "PlaneSpec": "curvature",
     "PointSample": "immersion",
     "ScalarInvariants": "curvature",
     "align_mean_frame": "curvature",
@@ -29,8 +28,6 @@ _LAZY = {
     "builtin": "immersion",
     "contraction_report": "simons",
     "detect_equality": "ddvv",
-    "extremal_pair": "ddvv",
-    "gram_diagonalize": "curvature",
     "invariants": "curvature",
     "kmin_bracket": "curvature",
     "laplacian_bound": "simons",
@@ -41,7 +38,6 @@ _LAZY = {
     "pseudo_umbilical_extend": "models",
     "riemann": "curvature",
     "second_fundamental_form": "immersion",
-    "sectional": "curvature",
     "totally_geodesic": "models",
     "umbilical_sphere": "models",
     "verdict": "pinching",

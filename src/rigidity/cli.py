@@ -4,9 +4,11 @@ Subcommands exchange JSON on disk/stdout (FundamentalData payloads, check
 reports, point samples) and one CSV threshold table.  Exit codes: 0 every
 verdict strict or boundary, 1 some verdict fails, 2 some verdict
 indeterminate, 3 hypothesis/validation error, 4 parse error, 5 usage error;
-batches report the worst record.  A `check` record that raises a hypothesis or
-validation error is reported as {"input", "error"} and counts as 3; the other
-records of its batch are still checked.
+batches report the worst record.  A `check` record whose verdict raises (a
+hypothesis, or a threshold its data leaves undefined) or that has no bracket
+(n = 1) is reported as {"input", "error"} and counts as 3; the other records of
+its batch are still checked.  A record that fails validation (a bad field, shape
+or matrix) exits 4 naming it, and no report is written.
 """
 
 from __future__ import annotations

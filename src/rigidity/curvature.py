@@ -7,8 +7,8 @@ direction, expressed in an orthonormal tangent frame.  The Gauss equation
     R_ijkl = c (d_ik d_jl - d_il d_jk) + sum_a (h^a_ik h^a_jl - h^a_il h^a_jk)
 
 builds the full curvature tensor; the normal curvature is the stack of
-commutators [H_a, H_b]; sectional curvatures, scalar invariants and the
-K_min bracket derive from those.
+commutators [H_a, H_b]; the scalar invariants and the bracket of the minimum
+sectional curvature K_min derive from those.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symmat import adj2, det2, gram_frame, negligible_trace, rotate_tuple, symmetrize_tuples
+from .symmat import adj2, det2, negligible_trace, rotate_tuple, symmetrize_tuples
 
 NEWTON_ITERS = 30   # step cap of the Riemannian Newton plane search in kmin_brackets
 GAUSS_BYTES = 1 << 18   # bytes of the (R, n, n, n, n) Gauss tensors one kmin_brackets slice holds
@@ -127,25 +127,6 @@ class CurvatureTensor:
         object.__setattr__(self, "components", comp)
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneSpec:
-    """A tangent 2-plane spanned by two linearly independent n-vectors."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if u.ndim != 1 or u.shape != v.shape:
-            raise ValueError("plane vectors must be equal-length 1-d arrays")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        gram = u @ u * (v @ v) - (u @ v) ** 2
-        if gram <= 1e-12:
-            raise ValueError(f"plane vectors are (nearly) dependent: Gram determinant {gram:.3e}")
-
-
 class ScalarInvariants(NamedTuple):
     """S = sum ||H_a||^2, mean curvature H, and the derived scalars.
 
@@ -192,16 +173,6 @@ def normal_curvature(data: FundamentalData) -> np.ndarray:
     """
     h = data.forms
     return np.einsum("aik,bil->abkl", h, h) - np.einsum("ail,bik->abkl", h, h)
-
-
-def sectional(tensor: CurvatureTensor, plane: PlaneSpec) -> float:
-    """K(u, v) = R(u, v, u, v) / (|u|^2 |v|^2 - <u, v>^2)."""
-    u, v = plane.u, plane.v
-    if u.shape != (tensor.n,):
-        raise ValueError(f"plane lives in dimension {u.shape[0]}, tensor in {tensor.n}")
-    num = float(np.einsum("ijkl,i,j,k,l->", tensor.components, u, v, u, v))
-    den = float(u @ u * (v @ v) - (u @ v) ** 2)
-    return num / den
 
 
 def invariants(data: FundamentalData) -> ScalarInvariants:
@@ -443,7 +414,7 @@ def kmin_bracket(data: FundamentalData, budget: int = 64, seed=0) -> Bracket:
     return kmin_brackets(data.forms[None], data.c, budget, seed)[0]
 
 
-# -- frame normalizations -----------------------------------------------------
+# -- frame normalization ------------------------------------------------------
 
 def align_mean_frame(data: FundamentalData) -> FundamentalData:
     """Rotate the normal frame so the mean curvature sits in one member.
@@ -469,26 +440,4 @@ def align_mean_frame(data: FundamentalData) -> FundamentalData:
     q[0] *= -s
     return FundamentalData(n=data.n, p=data.p, c=data.c, forms=rotate_tuple(data.forms, q),
                            mean_index=0)
-
-
-def gram_diagonalize(data: FundamentalData, restrict=None) -> FundamentalData:
-    """Rotate (part of) the normal frame so tr(H_a H_b) is diagonal there.
-
-    restrict defaults to every non-mean index; the mean member, when present,
-    must stay fixed and may not be listed.  Rotated slots keep their
-    positions, reordered by descending Gram eigenvalue with a deterministic
-    eigenvector sign fix.
-    """
-    idx = data.non_mean_indices() if restrict is None else data.restriction(restrict)
-    if data.mean_index in idx:
-        raise ValueError("the mean member cannot be Gram-diagonalized away")
-    if not idx:
-        return data
-    sub = data.forms[list(idx)]
-    rotated = rotate_tuple(sub, gram_frame(sub)[1])
-    forms = data.forms.copy()
-    for slot, mat in zip(idx, rotated):
-        forms[slot] = mat
-    return FundamentalData(n=data.n, p=data.p, c=data.c, forms=forms,
-                           mean_index=data.mean_index)
 

@@ -21,6 +21,7 @@ import numpy as np
 from .symmat import as_tuple, gram_frame, signfix
 
 EQUALITY_RTOL = 1e-8
+NEAR_EQUALITY = 1e-6   # detect_equality and verdict's ddvv-equality note: ratio >= 1 - this
 
 
 class ExtremalStructure(NamedTuple):
@@ -124,38 +125,6 @@ def evaluate_stack(t: np.ndarray) -> list[DdvvReport]:
             for lo, hi, q, e in zip(lhs.tolist(), rhs.tolist(), ratio.tolist(), equal.tolist())]
 
 
-def extremal_pair(n: int, m: int, mu: float, rotation: np.ndarray | None = None,
-                  slots: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """Build an equality-case tuple: the canonical mu-pair in two slots.
-
-    slots[0] receives P (mu E_12 + mu E_21) P^T, slots[1] receives
-    P diag(mu, -mu, 0..) P^T; every other member is zero.  rotation is the
-    tangent conjugation P (identity by default).
-    """
-    if n < 2 or m < 2:
-        raise ValueError(f"equality tuples need n >= 2 and m >= 2, got n={n}, m={m}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    r, s = slots
-    if r == s or not (0 <= r < m and 0 <= s < m):
-        raise ValueError(f"slots must be two distinct indices below m={m}, got {slots}")
-    first = np.zeros((n, n))
-    first[0, 1] = first[1, 0] = mu
-    second = np.zeros((n, n))
-    second[0, 0] = mu
-    second[1, 1] = -mu
-    if rotation is not None:
-        p = np.asarray(rotation, dtype=float)
-        if p.shape != (n, n) or np.linalg.norm(p.T @ p - np.eye(n)) > 1e-10:
-            raise ValueError("rotation must be an orthogonal n x n matrix")
-        first = p @ first @ p.T
-        second = p @ second @ p.T
-    out = np.zeros((m, n, n))
-    out[r] = first
-    out[s] = second
-    return out
-
-
 def _complete_basis(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full orthonormal basis, deterministically."""
     n, k = cols.shape
@@ -173,10 +142,10 @@ def _complete_basis(cols: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def detect_equality(t, tol: float = 1e-6) -> ExtremalStructure | None:
+def detect_equality(t) -> ExtremalStructure | None:
     """Recover the two-matrix mu-configuration from a (near-)equality tuple.
 
-    Returns None when the ratio is below 1 - tol; otherwise rotations and
+    Returns None when the ratio is below 1 - NEAR_EQUALITY; otherwise rotations and
     residuals quantifying the distance to the exact configuration.
     """
     t = as_tuple(t)
@@ -184,7 +153,7 @@ def detect_equality(t, tol: float = 1e-6) -> ExtremalStructure | None:
     if m < 2 or n < 2:
         return None
     _, rhs, ratio = ratio_terms(t)
-    if rhs <= 0 or ratio < 1.0 - tol:
+    if rhs <= 0 or ratio < 1.0 - NEAR_EQUALITY:
         return None
     return equality_structures(t[None])[0]
 

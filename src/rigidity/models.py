@@ -63,12 +63,13 @@ def veronese(c: float = 1.0, H: float = 0.0) -> FundamentalData:
 
 
 def umbilical_sphere(n: int, p: int, c: float, H: float) -> FundamentalData:
-    """Totally umbilical data: mean member H*I_n, all other members zero."""
+    """Totally umbilical data: mean member H*I_n, all other members zero.  At H = 0 the
+    data is totally geodesic, so mean_index stays unset, as veronese(c, 0)'s does."""
     forms = _zero_forms(n, p)
     if not np.isfinite(H):   # before H * I, which would warn
         raise ValueError(f"mean curvature H must be finite, got H={H}")
     forms[0] = H * np.eye(n)
-    return FundamentalData(n=n, p=p, c=c, forms=forms, mean_index=0)
+    return FundamentalData(n=n, p=p, c=c, forms=forms, mean_index=0 if H != 0 else None)
 
 
 def pseudo_umbilical_extend(data: FundamentalData, H: float, c: float) -> FundamentalData:

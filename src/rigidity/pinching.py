@@ -217,7 +217,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     status = _classify(bracket, threshold, tol)
 
     sub = data.forms[list(restriction)]
-    ddvv_equality = ddvv.ratio_terms(sub)[2] >= 1.0 - 1e-6
+    ddvv_equality = ddvv.ratio_terms(sub)[2] >= 1.0 - ddvv.NEAR_EQUALITY
     collapsed = bracket.hi - bracket.lo <= soft * max(1.0, abs(bracket.hi))
 
     notes = []

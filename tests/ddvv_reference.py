@@ -4,12 +4,13 @@ This is the per-tuple form of what `ddvv.evaluate_stack` and
 `ddvv.equality_structures` compute for a whole stack: the gate, the Gram
 rotation, the tangent plane, the in-plane spin and the reconstruction of one
 tuple, with `rotate_tuple`, `extremal_pair` and `np.linalg.norm`.  Tests hold
-the stacked kernels to it bit for bit.
+the stacked kernels to it bit for bit.  `extremal_pair` also builds the tests'
+equality-case tuples.
 """
 
 import numpy as np
 
-from rigidity.ddvv import EQUALITY_RTOL, _complete_basis, extremal_pair, ratio_terms
+from rigidity.ddvv import EQUALITY_RTOL, _complete_basis, ratio_terms
 from rigidity.symmat import rotate_tuple, signfix
 
 
@@ -47,3 +48,35 @@ def structure(t):
     top = np.argsort(q[0] ** 2 + q[1] ** 2)[::-1][:2]
     return ((int(min(top)), int(max(top))), mu, q, tangent,
             offplane / np.sqrt(total), residual)
+
+
+def extremal_pair(n: int, m: int, mu: float, rotation: np.ndarray | None = None,
+                  slots: tuple[int, int] = (0, 1)) -> np.ndarray:
+    """Build an equality-case tuple: the canonical mu-pair in two slots.
+
+    slots[0] receives P (mu E_12 + mu E_21) P^T, slots[1] receives
+    P diag(mu, -mu, 0..) P^T; every other member is zero.  rotation is the
+    tangent conjugation P (identity by default).
+    """
+    if n < 2 or m < 2:
+        raise ValueError(f"equality tuples need n >= 2 and m >= 2, got n={n}, m={m}")
+    if mu <= 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    r, s = slots
+    if r == s or not (0 <= r < m and 0 <= s < m):
+        raise ValueError(f"slots must be two distinct indices below m={m}, got {slots}")
+    first = np.zeros((n, n))
+    first[0, 1] = first[1, 0] = mu
+    second = np.zeros((n, n))
+    second[0, 0] = mu
+    second[1, 1] = -mu
+    if rotation is not None:
+        p = np.asarray(rotation, dtype=float)
+        if p.shape != (n, n) or np.linalg.norm(p.T @ p - np.eye(n)) > 1e-10:
+            raise ValueError("rotation must be an orthogonal n x n matrix")
+        first = p @ first @ p.T
+        second = p @ second @ p.T
+    out = np.zeros((m, n, n))
+    out[r] = first
+    out[s] = second
+    return out

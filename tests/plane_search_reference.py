@@ -5,7 +5,8 @@ This is the straightforward first-order form of the search that
 descended on its own, frames are re-orthonormalized by `np.linalg.qr`, and
 K(u, v) and its gradient are contracted from the full n^4 Riemann tensor.  It
 shares no search code with the package, so tests can hold the batched
-form-based search to it.
+form-based search to it.  `sectional` is K of one plane from that tensor, the
+tests' oracle for a single plane.
 """
 
 import random
@@ -22,6 +23,12 @@ def _pairs(n):
 def _value(comp, x):
     u, v = x[:, 0], x[:, 1]
     return float(np.einsum("ijkl,i,j,k,l->", comp, u, v, u, v))
+
+
+def sectional(tensor, u, v):
+    """K(u, v) = R(u, v, u, v) / (|u|^2 |v|^2 - <u, v>^2) of the plane spanned by u and v."""
+    num = float(np.einsum("ijkl,i,j,k,l->", tensor.components, u, v, u, v))
+    return num / float(u @ u * (v @ v) - (u @ v) ** 2)
 
 
 def _grad(comp, x):

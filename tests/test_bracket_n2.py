@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import make_general, make_minimal, make_pseudo_umbilical
+from plane_search_reference import sectional
 from rigidity import curvature
-from rigidity.curvature import PlaneSpec, kmin_bracket, riemann, sectional
+from rigidity.curvature import kmin_bracket, riemann
 from rigidity.immersion import BUILTINS, builtin, sample_grid
 from rigidity.models import product_of_spheres, totally_geodesic, umbilical_sphere, veronese
 
@@ -45,7 +46,7 @@ CASES = list(_fixtures()) + list(_random_points())
 
 
 def _coordinate_plane_value(data):
-    return sectional(riemann(data), PlaneSpec(u=np.eye(2)[0], v=np.eye(2)[1]))
+    return sectional(riemann(data), np.eye(2)[0], np.eye(2)[1])
 
 
 @pytest.mark.parametrize("data", [d for _, d in CASES], ids=[name for name, _ in CASES])

@@ -13,15 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import make_general, make_minimal, make_pseudo_umbilical, random_orthogonal
+from plane_search_reference import sectional
 from rigidity import curvature
 from rigidity.curvature import (
     CurvatureTensor,
     FundamentalData,
-    PlaneSpec,
     curvature_operator,
     kmin_bracket,
     riemann,
-    sectional,
 )
 from rigidity.models import product_of_spheres, totally_geodesic, umbilical_sphere
 from rigidity.symmat import rotate_tuple
@@ -77,7 +76,7 @@ def test_lo_below_random_planes(data):
     rng = np.random.default_rng([data.n, data.p, 5])
     for _ in range(32):
         u, v = rng.normal(size=(2, data.n))
-        k = sectional(tensor, PlaneSpec(u=u, v=v))
+        k = sectional(tensor, u, v)
         assert b.lo <= k + 1e-12 * max(1.0, abs(k))
 
 

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import make_general, make_minimal, random_orthogonal, random_tuple
-from plane_search_reference import random_starts, reference_kmin_bracket
+from plane_search_reference import random_starts, reference_kmin_bracket, sectional
 from rigidity import curvature
-from rigidity.curvature import FundamentalData, PlaneSpec, kmin_bracket, riemann, sectional
+from rigidity.curvature import FundamentalData, kmin_bracket, riemann
 from rigidity.models import product_of_spheres, totally_geodesic, umbilical_sphere
 from rigidity.symmat import rotate_tuple
 
@@ -122,7 +122,7 @@ def test_lo_below_random_planes(data):
     rng = np.random.default_rng([data.n, data.p, 10])
     for _ in range(32):
         u, v = rng.normal(size=(2, data.n))
-        k = sectional(tensor, PlaneSpec(u=u, v=v))
+        k = sectional(tensor, u, v)
         assert b.lo <= k + 1e-12 * max(1.0, abs(k))
 
 

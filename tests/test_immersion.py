@@ -23,8 +23,9 @@ import numpy.testing as npt
 import pytest
 
 import immersion_reference as ref
+from plane_search_reference import sectional
 from rigidity import immersion, symmat
-from rigidity.curvature import PlaneSpec, invariants, riemann, sectional
+from rigidity.curvature import invariants, riemann
 from rigidity.immersion import (
     BUILTINS,
     DEFAULT_STEP,
@@ -46,7 +47,7 @@ SPHERE_QUAD = builtin("veronese")
 
 def curvature_at(sample):
     tensor = riemann(sample.data)
-    return sectional(tensor, PlaneSpec(u=np.array([1.0, 0.0]), v=np.array([0.0, 1.0])))
+    return sectional(tensor, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 class TestDifferentiate:

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from conftest import make_minimal, random_tuple
-from rigidity.curvature import FundamentalData, gram_diagonalize, kmin_bracket, negligible_trace
+from ddvv_reference import extremal_pair
+from rigidity.curvature import FundamentalData, kmin_bracket, negligible_trace
 from rigidity.ddvv import (
     commutator_energy,
     detect_equality,
     evaluate,
-    extremal_pair,
     maximize_ratio,
 )
-from rigidity.simons import curvature_contraction
+from rigidity.simons import curvature_contraction, g_sq_value
 from rigidity.symmat import (
     as_tuple,
     gram_frame,
@@ -129,11 +129,11 @@ class TestGramFrame:
             assert np.array_equal(vals[k], one_vals) and np.array_equal(q[k], one_q)
 
     def test_both_gauge_moves_use_it(self):
-        data = make_minimal(3, 3, 1.0, np.random.default_rng(73))
-        assert np.array_equal(gram_diagonalize(data).forms,
-                              rotate_tuple(data.forms, gram_frame(data.forms)[1]))
+        # evaluate's and detect_equality's normal rotations are gram_frame's rows
         pair = extremal_pair(3, 3, 0.7, slots=(2, 0))
-        assert np.array_equal(detect_equality(pair).normal_rotation, gram_frame(pair)[1])
+        rotation = gram_frame(pair)[1]
+        assert np.array_equal(evaluate(pair).extremal_structure.normal_rotation, rotation)
+        assert np.array_equal(detect_equality(pair).normal_rotation, rotation)
 
 
 class TestTraceGate:
@@ -154,7 +154,7 @@ class TestShared:
             with pytest.raises(ValueError) as simons_err:
                 curvature_contraction(data, restrict=bad)
             with pytest.raises(ValueError) as gram_err:
-                gram_diagonalize(data, restrict=bad)
+                g_sq_value(data, restrict=bad)
             assert str(simons_err.value) == str(gram_err.value)
         assert data.restriction() == (0, 1, 2)
         assert data.restriction([2, 0]) == (2, 0)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import maximize_reference as ref
-from rigidity.ddvv import energy_gradient, extremal_pair, maximize_ratio
+from ddvv_reference import extremal_pair
+from rigidity.ddvv import energy_gradient, maximize_ratio
 from rigidity.symmat import rotate_tuple
 
 

@@ -21,6 +21,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import make_minimal, make_pseudo_umbilical, random_orthogonal, random_tuple
+from rigidity import ddvv
 from rigidity.curvature import FundamentalData, kmin_bracket
 from rigidity.models import (
     product_of_spheres,
@@ -42,6 +43,9 @@ from rigidity.pinching import (
 )
 from rigidity.simons import MINIMAL, PARALLEL_MEAN, laplacian_bound, optimal_parameter
 from rigidity.symmat import rotate_tuple
+
+# a mean-aligned frame whose mean member vanishes: the zero-mean gates' datum
+ZERO_MEAN = FundamentalData(n=3, p=2, c=1.0, forms=np.zeros((2, 3, 3)), mean_index=0)
 
 # the indeterminate fixture: a seed-1 traceless n = 5 tuple scaled so the p=3
 # threshold 3/8 sits halfway between the curvature-operator bound lo = 0.3713
@@ -141,6 +145,13 @@ class TestVerdictFixtures:
         assert v.threshold == float(Fraction(1, 3))
         assert "ddvv-equality" in v.notes and "minimal" in v.notes
 
+    def test_ddvv_equality_note_and_detect_equality_share_one_gate(self, monkeypatch):
+        data = veronese(1.0, 0.0)
+        monkeypatch.setattr(ddvv, "NEAR_EQUALITY", -1.0)   # a gate of ratio >= 2: never met
+        v = verdict(data, "thm1")
+        assert "ddvv-equality" not in v.notes and v.label == "Undetermined"
+        assert ddvv.detect_equality(data.forms) is None
+
     def test_totally_geodesic_strict(self):
         v = verdict(totally_geodesic(3, 2, 1.0), "thm1")
         assert (v.status, v.label) == ("strict", "TotallyGeodesic")
@@ -238,7 +249,7 @@ class TestHypotheses:
 
     def test_thm2_needs_nonzero_mean(self):
         with pytest.raises(HypothesisError, match="nonzero"):
-            verdict(umbilical_sphere(3, 2, 1.0, 0.0), "thm2")
+            verdict(ZERO_MEAN, "thm2")
 
     def test_generalized_minimal_branch_gate(self):
         # general data without any frame convention is rejected
@@ -262,11 +273,11 @@ class TestHypothesisMessages:
         *[(w, veronese(2.0, 0.0), f"{w} is stated in a unit sphere, got c = 2.0")
           for w in ("yau", "itoh", "thm1")],
         ("thm2", veronese(1.0, 0.0), "thm2 requires a mean-aligned frame (mean_index set)"),
-        ("thm2", umbilical_sphere(3, 2, 1.0, 0.0),
+        ("thm2", ZERO_MEAN,
          "thm2 requires nonzero parallel mean curvature, got H ~ 0"),
         ("generalized", FundamentalData(n=3, p=2, c=1.0, forms=random_tuple(3, 2, seed=50)),
          "generalized (minimal branch) requires traceless data or a mean-aligned frame"),
-        ("generalized", umbilical_sphere(3, 2, 1.0, 0.0),
+        ("generalized", ZERO_MEAN,
          "generalized (mean branch) requires nonzero mean curvature"),
     ], ids=[f"{w}-{gate}" for gate in ("minimal", "unit-sphere") for w in ("yau", "itoh", "thm1")]
         + ["thm2-frame", "thm2-zero-mean", "generalized-minimal", "generalized-zero-mean"])

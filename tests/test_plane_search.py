@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import make_general
-from plane_search_reference import reference_kmin_bracket
-from rigidity.curvature import PlaneSpec, kmin_bracket, riemann, sectional
+from plane_search_reference import reference_kmin_bracket, sectional
+from rigidity.curvature import kmin_bracket, riemann
 
 CASES = [(n, p, budget) for n in (2, 3, 4, 6, 8) for p in (1, 2, 3) for budget in (0, 8, 64)]
 
@@ -47,9 +47,9 @@ def test_batched_search_matches_reference(n, p, budget):
     rng = np.random.default_rng([n, p, budget, 1])
     for _ in range(32):
         u, v = rng.normal(size=(2, n))
-        k = sectional(tensor, PlaneSpec(u=u, v=v))
+        k = sectional(tensor, u, v)
         assert b.lo <= k + 1e-12 * max(1.0, abs(k))
     eye = np.eye(n)
-    coord = min(sectional(tensor, PlaneSpec(u=eye[i], v=eye[j]))
+    coord = min(sectional(tensor, eye[i], eye[j])
                 for i in range(n) for j in range(i + 1, n))
     assert b.hi <= coord + 1e-12

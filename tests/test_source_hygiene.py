@@ -4,12 +4,15 @@ Every top-level import of src/rigidity/*.py is used somewhere in its module;
 every `__all__` entry names something the module binds at top level, or,
 through the package's lazy name table, something its defining module binds;
 every top-level function, class and constant of the package is read by src/
-(the lazy name table included) or by bench/, so that nothing only tests or the
-README name ships; and only cli.entry, the process's own exit, names os._exit.
+or by bench/, so that nothing only tests or the README name ships; a name that
+only the lazy name table reads ships only if the README's public list names it,
+and that list is `rigidity.__all__`; and only cli.entry, the process's own exit,
+names os._exit.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -89,13 +92,40 @@ def _named(tree: ast.Module) -> set[str]:
     return named
 
 
+def library_names(root: Path) -> set[str]:
+    """The public library: each backticked name after the first ": " of an item of the
+    bulleted list under root/README.md's `### Public names` heading, as `name` or
+    `module.name`.  The list ends at its first blank line."""
+    lines = (root / "README.md").read_text().partition("\n### Public names\n")[2].splitlines()
+    items = []
+    for line in lines[next((k for k, x in enumerate(lines) if x.startswith("- ")), len(lines)):]:
+        if not line.strip():
+            break
+        if line.startswith("- "):
+            items.append(line[2:])
+        else:
+            items[-1] += " " + line.strip()
+    return {name for item in items
+            for name in re.findall(r"`([A-Za-z_][\w.]*)`", item.partition(": ")[2])}
+
+
+def _is_lazy_table(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "_LAZY" for t in node.targets)
+
+
 def dead_names(root: Path) -> list[str]:
     """`module.name` of each top-level definition of root/src/rigidity/*.py that no file of
-    root's src/ or bench/ reads: one that only tests/ or the README name does not run."""
-    named = set()
+    root's src/ or bench/ reads: one that only tests/ or the README name does not run.  A
+    `_LAZY` key reads nothing; a name only `_LAZY` holds passes if library_names lists it."""
+    named, lazy = set(), set()
     for part in ("src", "bench"):
         for path in sorted((root / part).rglob("*.py")):
-            named |= _named(ast.parse(path.read_text()))
+            tree = ast.parse(path.read_text())
+            lazy |= set(_literal(tree, "_LAZY") or {})
+            tree.body = [node for node in tree.body if not _is_lazy_table(node)]
+            named |= _named(tree)
+    named |= lazy & library_names(root)
     return [f"{path.stem}.{name}" for path in sorted((root / "src" / "rigidity").glob("*.py"))
             for name in _defined(ast.parse(path.read_text()))
             if name not in named and name not in HOOKS]
@@ -152,15 +182,30 @@ def test_dead_name_check_catches_what_it_claims(tmp_path):
     for part in ("src/rigidity", "tests", "bench"):
         (tmp_path / part).mkdir(parents=True)
     (tmp_path / "src/rigidity/a.py").write_text(
-        "USED, DEAD = 1, 2\nLAZY = {'lazy': 'a'}\n"
-        "def lazy(): pass\ndef helper(): return USED\ndef dead(): return helper()\n"
+        "USED, DEAD = 1, 2\n_LAZY = {'lazy': 'a', 'hidden': 'a'}\n"
+        "def lazy(): pass\ndef hidden(): pass\ndef helper(): return USED\n"
+        "def dead(): return helper()\n"
         "class Dead: pass\ndef tested(): pass\ndef benched(): pass\n"
-        "def __getattr__(name): return LAZY[name]\n")
-    (tmp_path / "tests/test_a.py").write_text("from rigidity.a import tested\n")
+        "def __getattr__(name): return _LAZY[name]\n")
+    (tmp_path / "tests/test_a.py").write_text("from rigidity.a import tested, hidden\n")
     (tmp_path / "bench/b.py").write_text(
         "from rigidity.a import benched\n# DEAD and dead appear only in a comment\n")
-    (tmp_path / "README.md").write_text("`Dead` is documented.\n")
-    assert dead_names(tmp_path) == ["a.DEAD", "a.dead", "a.Dead", "a.tested"]
+    # `hidden` is lazy but undocumented; `Dead` is listed, but only a lazy name is rescued
+    (tmp_path / "README.md").write_text(
+        "`hidden` and `Dead` are documented.\n\n### Public names\n\nThe list:\n\n"
+        "- Exported: `lazy`,\n  `Dead`.\n\n- Not in the list: `hidden`.\n")
+    assert library_names(tmp_path) == {"lazy", "Dead"}
+    assert dead_names(tmp_path) == ["a.DEAD", "a.hidden", "a.dead", "a.Dead", "a.tested"]
+
+
+def test_public_names_are_the_export():
+    import rigidity
+
+    names = library_names(ROOT)
+    assert sorted(n for n in names if "." not in n) == sorted(rigidity.__all__)
+    for name in sorted(n for n in names if "." in n):
+        module, attr = name.split(".")
+        assert hasattr(importlib.import_module(f"rigidity.{module}"), attr), name
 
 
 def test_only_entry_ends_the_interpreter():

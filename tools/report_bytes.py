@@ -4,7 +4,8 @@
 
 Builds the commands of every workload in bench/workloads.py, plus the defect
 probe, at seeds 1-3, and once the unseeded `model`, `pinch`, large-tuple
-`ddvv --random`, 144-sample `immersion` and `check` commands and a `check` of
+`ddvv --random`, 144-sample `immersion` and `check` commands, a `check` of the
+default (H = 0) umbilical sphere, and a `check` of
 minimal points whose plane searches run at the default budget, two to a shape
 group; runs each one with `python -m rigidity.cli` against each root's src/,
 and lists every command whose exit code, stdout, stderr or output file
@@ -36,7 +37,8 @@ FIELDS_SHOWN = 5
 ABSENT = object()   # a key or list item that one side lacks
 
 # The subcommands no workload runs, once each: every model kind (one written to --out, one
-# without its --k, which exits 3) and the threshold table; and a sweep of large (5, 12, 12)
+# without its --k, which exits 3, and the umbilical sphere at its default H = 0, written to
+# --out and checked) and the threshold table; and a sweep of large (5, 12, 12)
 # tuples, which spans several of the batches the sweep sizes by bytes; and a 144-sample
 # immersion and a check of it, each a report of several write blocks on stdout, where the
 # workloads write theirs to --out.  Commands run in order, so the check reads the samples the
@@ -49,6 +51,9 @@ UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                          ["model", "veronese", "--H", "0.5", "--out", "veronese.json"],
                          ["model", "umbilical-sphere", "--n", "4", "--p", "2", "--c", "-1",
                           "--H", "2"],
+                         ["model", "umbilical-sphere", "--n", "3", "--p", "2",
+                          "--out", "umbilical0.json"],
+                         ["check", "umbilical0.json", "--no-timestamp"],
                          ["pinch", "--table", "6", "6"],
                          ["ddvv", "--random", "12", "5", "300", "--seed", "1", "--no-timestamp"],
                          ["immersion", "--builtin", "veronese", "--grid", "12"],
