@@ -19,7 +19,8 @@ import math
 import os
 import sys
 import time
-from itertools import islice, repeat
+from collections.abc import Iterator
+from itertools import repeat
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -182,16 +183,39 @@ def record_to_dict(label: str, data: FundamentalData, bracket: Bracket, dd: Ddvv
     }
 
 
-DUMP_BLOCK = 4096   # encoder chunks joined per block of a written report
-
-
 def _dump(obj, out_path: str | None) -> None:
-    """Write obj as `json.dumps(obj, indent=2, allow_nan=False)` and a newline, from blocks of
-    encoder chunks: never held twice, and all encoded before the first write."""
+    """Write obj as `json.dumps(obj, indent=2, allow_nan=False)` and a newline.
+
+    A top-level list, or a list member of a top-level object, may be an iterator: its items
+    are built, encoded and dropped one at a time, so only the report's text is held.  Every
+    item is encoded before the first write, so a value that cannot be encoded writes nothing.
+    """
     import json
 
-    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(obj)
-    blocks = ["".join(block) for block in iter(lambda: list(islice(chunks, DUMP_BLOCK)), [])]
+    encode = json.JSONEncoder(indent=2, allow_nan=False).encode
+    blocks: list[str] = []
+
+    def put(value, depth: int) -> None:
+        # a JSON text holds no raw newline, so re-indenting a text to its depth is exact
+        if not isinstance(value, (list, Iterator)):
+            blocks.append(encode(value).replace("\n", "\n" + "  " * depth))
+            return
+        inner = "\n" + "  " * (depth + 1)
+        opening, comma = "[" + inner, "," + inner
+        for item in value:
+            blocks.extend((opening, encode(item).replace("\n", inner)))
+            opening = comma
+        blocks.append("[]" if opening is not comma else "\n" + "  " * depth + "]")
+
+    if isinstance(obj, dict) and obj:
+        opening = "{\n  "
+        for key, value in obj.items():   # a report's keys are strings
+            blocks.extend((opening, encode(key), ": "))
+            put(value, 1)
+            opening = ",\n  "
+        blocks.append("\n}")
+    else:
+        put(obj, 0)
     blocks.append("\n")
     _write(blocks, out_path)
 
@@ -282,27 +306,29 @@ def _array_pass(first: FundamentalData, forms: np.ndarray, args) -> list[tuple]:
     return list(zip(brackets, evaluate_stack(forms)))
 
 
-def _check_one(item: tuple[str, FundamentalData], staged: tuple, args, stamp) -> dict:
-    """The per-record stage of `check`, from the record's row of its array pass: the report
-    record, or {"input", "error"} when its bracket failed or a verdict raises."""
+def _check_one(item: tuple[str, FundamentalData], staged: tuple, args) -> tuple:
+    """The per-record stage of `check`, from the record's row of its array pass: the record's
+    verdicts and their elapsed seconds, or its error message and None when its bracket failed
+    or a verdict raises."""
     from .pinching import verdict
 
     t0 = time.perf_counter()
-    label, data = item
-    bracket, dd = staged
+    _, data = item
+    bracket = staged[0]
     if isinstance(bracket, str):
-        return {"input": label, "error": bracket}
+        return bracket, None
     auto = "thm2" if data.mean_index is not None else "thm1"
     try:
         verdicts = [verdict(data, auto if th == "auto" else th, tol=args.tol, bracket=bracket)
                     for th in args.theorem or ["auto"]]
     except ValueError as exc:  # pinching.HypothesisError included
-        return {"input": label, "error": str(exc)}
-    elapsed = None if args.no_timestamp else time.perf_counter() - t0
-    return record_to_dict(label, data, bracket, dd, verdicts, stamp, elapsed)
+        return str(exc), None
+    return verdicts, None if args.no_timestamp else time.perf_counter() - t0
 
 
 def cmd_check(args) -> int:
+    from .pinching import severity
+
     if args.budget < 0:
         return _usage("--budget must be >= 0")
     if args.seed < 0:
@@ -320,14 +346,20 @@ def cmd_check(args) -> int:
     if args.jobs > 1 and len(items) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_check_one, items, staged, repeat(args), repeat(stamp)))
+            checked = list(pool.map(_check_one, items, staged, repeat(args)))
     else:
-        records = list(map(_check_one, items, staged, repeat(args), repeat(stamp)))
-    for r in records:
-        if "error" in r:
-            _error(f"{r['input']}: {r['error']}")
+        checked = list(map(_check_one, items, staged, repeat(args)))
+    for (label, _), (verdicts, _) in zip(items, checked):
+        if isinstance(verdicts, str):
+            _error(f"{label}: {verdicts}")
+    # every verdict has run; each record is built as the report encodes it
+    records = ({"input": label, "error": verdicts} if isinstance(verdicts, str) else
+               record_to_dict(label, data, *row, verdicts, stamp, elapsed)
+               for (label, data), row, (verdicts, elapsed) in zip(items, staged, checked))
     _dump({"records": records}, args.out)
-    return max((r.get("exit_hint", EXIT_HYPOTHESIS) for r in records), default=EXIT_OK)
+    return max((EXIT_HYPOTHESIS if isinstance(verdicts, str) else
+                max(severity(v.status) for v in verdicts) for verdicts, _ in checked),
+               default=EXIT_OK)
 
 
 SWEEP_BYTES = 1 << 19   # bytes of the --random sweep's tuple buffer: one batch of tuples
@@ -442,9 +474,8 @@ def cmd_ddvv(args) -> int:
 
     items = load_inputs(args.input)
     reports = _by_group([data for _, data in items], lambda _, forms: evaluate_stack(forms))
-    reports = [{"input": label, **ddvv_to_dict(r)} for (label, _), r in zip(items, reports)]
-    _dump({"mode": "input", "reports": reports, "timestamp": _timestamp(args)},
-          args.out)
+    reports = ({"input": label, **ddvv_to_dict(r)} for (label, _), r in zip(items, reports))
+    _dump({"mode": "input", "reports": reports, "timestamp": _timestamp(args)}, args.out)
     return EXIT_OK
 
 
@@ -477,7 +508,7 @@ def cmd_immersion(args) -> int:
         samples = sample_grid(spec, args.grid)
     except ValueError as exc:
         return _error(str(exc), EXIT_HYPOTHESIS)
-    _dump([sample_to_dict(s) for s in samples], args.out)
+    _dump(map(sample_to_dict, samples), args.out)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curvature import FundamentalData, negligible_trace
+from .pinching import negligible_mean
 
 
 def _zero_forms(n: int, p: int) -> np.ndarray:
@@ -63,13 +64,14 @@ def veronese(c: float = 1.0, H: float = 0.0) -> FundamentalData:
 
 
 def umbilical_sphere(n: int, p: int, c: float, H: float) -> FundamentalData:
-    """Totally umbilical data: mean member H*I_n, all other members zero.  At H = 0 the
-    data is totally geodesic, so mean_index stays unset, as veronese(c, 0)'s does."""
+    """Totally umbilical data: mean member H*I_n, all other members zero.  At H = 0, or an H
+    that pinching.negligible_mean finds zero, the data is totally geodesic, so mean_index stays
+    unset, as veronese(c, 0)'s does."""
     forms = _zero_forms(n, p)
     if not np.isfinite(H):   # before H * I, which would warn
         raise ValueError(f"mean curvature H must be finite, got H={H}")
     forms[0] = H * np.eye(n)
-    return FundamentalData(n=n, p=p, c=c, forms=forms, mean_index=0 if H != 0 else None)
+    return _mean_first(n, p, c, forms)
 
 
 def pseudo_umbilical_extend(data: FundamentalData, H: float, c: float) -> FundamentalData:
@@ -85,7 +87,14 @@ def pseudo_umbilical_extend(data: FundamentalData, H: float, c: float) -> Fundam
     if not np.isfinite(H):
         raise ValueError(f"mean curvature H must be finite, got H={H}")
     forms = np.concatenate([H * np.eye(data.n)[None], data.forms])
-    return FundamentalData(n=data.n, p=data.p + 1, c=c, forms=forms, mean_index=0)
+    return _mean_first(data.n, data.p + 1, c, forms)
+
+
+def _mean_first(n: int, p: int, c: float, forms: np.ndarray) -> FundamentalData:
+    """Data whose member 0 carries the whole mean curvature, with mean_index 0, or unset where
+    that mean is zero by pinching.negligible_mean, so `check` takes the data as minimal."""
+    data = FundamentalData(n=n, p=p, c=c, forms=forms)
+    return data if negligible_mean(data) else FundamentalData(n, p, c, forms, mean_index=0)
 
 
 # the sizes each kind needs, and the only ones it reads; veronese and umbilical-sphere

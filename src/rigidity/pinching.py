@@ -171,6 +171,12 @@ _TABLE = {
 THEOREMS = tuple(_TABLE)
 
 
+def negligible_mean(data: FundamentalData) -> bool:
+    """Whether the mean curvature H of `data` is zero at the scale max(1, max|h|): `verdict`
+    refuses a mean branch for such data, and the `models` builders set no mean slot for it."""
+    return data.invariants.H <= 1e-12 * max(1.0, float(abs(data.forms).max()))
+
+
 def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
             bracket: Bracket | None = None) -> PinchVerdict:
     """Compare the certified K_min bracket of `data` against one theorem.
@@ -203,7 +209,7 @@ def verdict(data: FundamentalData, which: str, tol: float = 1e-8,
     if mean_case:
         if data.mean_index is None:
             raise HypothesisError(f"{which} requires a mean-aligned frame (mean_index set)")
-        if inv.H <= 1e-12 * max(1.0, float(np.max(np.abs(data.forms)))):
+        if negligible_mean(data):
             raise HypothesisError(zero_mean)
     elif not minimal:
         raise HypothesisError(not_minimal)

@@ -23,7 +23,7 @@ import pytest
 
 from conftest import packed_tuples, random_orthogonal, random_tuple
 from rigidity import cli, curvature, ddvv
-from rigidity.cli import _dump, data_from_dict, data_to_dict, main
+from rigidity.cli import _dump, data_from_dict, data_to_dict, main, sample_to_dict
 from rigidity.curvature import FundamentalData
 from rigidity.ddvv import evaluate as ddvv_evaluate
 from rigidity.ddvv import ratio_terms as ddvv_ratio_terms
@@ -140,9 +140,9 @@ class TestSerialization:
         with pytest.raises(ValueError):
             data_from_dict(payload)
 
-    # a list of k numbers encodes as k + 2 chunks: one below, at and one above two blocks
+    # a list of k numbers encodes as k + 2 stdlib chunks: 8,191, 8,192 and 8,193 of them
     @pytest.mark.parametrize("obj,chunks", [
-        *((list(range(2 * cli.DUMP_BLOCK - 2 + d)), 2 * cli.DUMP_BLOCK + d) for d in (-1, 0, 1)),
+        *((list(range(2 * 4096 - 2 + d)), 2 * 4096 + d) for d in (-1, 0, 1)),
         ([], 1), ({}, 1), ({"a": [], "b": {}, "c": [{}, []]}, 20), (0.1, 1), (None, 1),
         ("Veronese ∮ Σ² 𝔖", 1),
     ], ids=["block-1", "block", "block+1", "list", "dict", "nested-empty", "float", "null",
@@ -155,6 +155,80 @@ class TestSerialization:
         assert capsys.readouterr().out == text
         _dump(obj, str(tmp_path / "out.json"))
         assert (tmp_path / "out.json").read_text() == text
+
+
+    # a top-level list and a list under "records", given as iterators, keep json.dumps's
+    # bytes: empty, one item, and several items with nested lists and objects
+    @pytest.mark.parametrize("count", [0, 1, 4], ids=["empty", "single", "several"])
+    def test_streamed_items_are_json_dumps(self, capsys, tmp_path, count):
+        items = [sample_to_dict(s) for s in sample_grid(builtin("graph"), 2)][:count]
+        for whole, streamed in (
+                (items, lambda: iter(items)),
+                ({"records": items}, lambda: {"records": iter(items)}),
+                ({"mode": "input", "reports": items, "timestamp": None},
+                 lambda: {"mode": "input", "reports": iter(items), "timestamp": None})):
+            text = json.dumps(whole, indent=2, allow_nan=False) + "\n"
+            _dump(streamed(), None)
+            assert capsys.readouterr().out == text
+            _dump(streamed(), str(tmp_path / "out.json"))
+            assert (tmp_path / "out.json").read_text() == text
+
+    # check's report, built record by record, is json.dumps of itself, on stdout and in --out:
+    # an empty batch, a single record, an error record between two good ones (serially and
+    # with --jobs 2) and a non-ASCII label
+    @pytest.mark.parametrize("name,records,jobs", [
+        ("empty.json", [], "1"),
+        ("single.json", [veronese(1.0, 0.0)], "1"),
+        ("batch.json", [veronese(1.0, 0.0), veronese(1.0, 0.6), totally_geodesic(3, 2, 1.0)],
+         "1"),
+        ("batch.json", [veronese(1.0, 0.0), veronese(1.0, 0.6), totally_geodesic(3, 2, 1.0)],
+         "2"),
+        ("Veronese ∮ Σ².json", [veronese(1.0, 0.0)], "1"),
+    ], ids=["empty", "single", "error-between", "error-between-jobs-2", "non-ascii"])
+    def test_check_report_is_json_dumps(self, capsys, tmp_path, name, records, jobs):
+        batch = tmp_path / name
+        batch.write_text(json.dumps([data_to_dict(d) for d in records]), encoding="utf-8")
+        argv = ["check", str(batch), "--theorem", "thm1", "--no-timestamp", "--jobs", jobs]
+        code, out, err = run(capsys, *argv)
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2, allow_nan=False) + "\n"
+        assert [r["input"] for r in report["records"]] == [
+            f"{batch}#{i}" for i in range(len(records))]
+        errors = [i for i, r in enumerate(report["records"]) if "error" in r]
+        assert err == "".join(f"error: {batch}#{i}: {report['records'][i]['error']}\n"
+                              for i in errors)
+        assert code == (3 if errors else 0) and errors == ([1] if len(records) == 3 else [])
+        assert run(capsys, *argv, "--out", str(tmp_path / "out.json")) == (code, "", err)
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == out
+
+    # a NaN in the last item writes nothing: no stdout byte, and an existing --out keeps its
+    # bytes, for a streamed list and for check, once its error line is out
+    def test_nan_in_the_last_streamed_item_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        existing = tmp_path / "existing.json"
+        existing.write_bytes(b'{"kept": true}\n')
+        items = [{"lo": 0.5}, {"lo": 1.0}, {"lo": float("nan")}]
+        for report in (lambda: iter(items), lambda: {"records": iter(items)}):
+            for out in (None, existing):
+                with pytest.raises(ValueError):
+                    _dump(report(), None if out is None else str(out))
+                assert capsys.readouterr().out == ""
+                assert existing.read_bytes() == b'{"kept": true}\n'
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps([data_to_dict(d) for d in (
+            veronese(1.0, 0.0), veronese(1.0, 0.6), totally_geodesic(3, 2, 1.0))]))
+        record_to_dict = cli.record_to_dict
+
+        def nan_last(label, *args):
+            record = record_to_dict(label, *args)
+            return {**record, "elapsed_s": float("nan")} if label.endswith("#2") else record
+
+        monkeypatch.setattr(cli, "record_to_dict", nan_last)
+        for out in ([], ["--out", str(existing)]):
+            with pytest.raises(ValueError):
+                main(["check", str(batch), "--theorem", "thm1", "--no-timestamp", *out])
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: {batch}#1: thm1 ")
+            assert existing.read_bytes() == b'{"kept": true}\n'
 
 
 class TestCheckCommand:
@@ -497,13 +571,13 @@ class TestParseValidation:
             code, printed, err = run(capsys, *argv, "--out", str(out))
             assert (code, printed, err) == (4, "", f"error: {out}: {reason}\n")
 
-    # all or nothing: a NaN or an unencodable value, at the top or past two blocks, writes no
+    # all or nothing: a NaN or an unencodable value, at the top or after 8,192 items, writes no
     # stdout byte, leaves an existing --out file's bytes, creates no file and leaves no other
     def test_reports_never_hold_nan(self, capsys, tmp_path):
         existing = tmp_path / "existing.json"
         existing.write_bytes(b'{"kept": true}\n')
         for bad, kind in ((float("nan"), ValueError), (object(), TypeError)):
-            for report in ({"lo": bad}, [*range(2 * cli.DUMP_BLOCK), bad]):
+            for report in ({"lo": bad}, [*range(2 * 4096), bad]):
                 for out in (None, existing, tmp_path / "missing.json"):
                     with pytest.raises(kind):
                         _dump(report, None if out is None else str(out))
@@ -695,6 +769,24 @@ class TestModelCommand:
         assert (v["theorem"], v["status"], v["label"]) == ("thm1", "strict", "TotallyGeodesic")
 
 
+    # an H that verdict's zero-mean test finds zero gets no mean slot, so check decides the
+    # file under thm1 instead of refusing thm2: the sphere is totally geodesic, and the
+    # Veronese surface, written with its (zero) mean member at p = 3, sits below thm1's 3/8
+    @pytest.mark.parametrize("argv,code,status,label", [
+        (("umbilical-sphere", "--n", "3", "--p", "2"), 0, "strict", "TotallyGeodesic"),
+        (("veronese",), 1, "fails", "Undetermined"),
+    ], ids=["umbilical-sphere", "veronese"])
+    def test_negligible_mean_is_checked_as_minimal(self, capsys, tmp_path, argv, code, status,
+                                                   label):
+        model = tmp_path / "model.json"
+        assert run(capsys, "model", *argv, "--H", "1e-13", "--out", str(model))[0] == 0
+        assert json.loads(model.read_text())["mean_index"] is None
+        got, out, err = run(capsys, "check", str(model), "--no-timestamp")
+        assert (got, err) == (code, "")
+        [v] = json.loads(out)["records"][0]["verdicts"]
+        assert (v["theorem"], v["status"], v["label"]) == ("thm1", status, label)
+
+
 class TestImmersionCommand:
     def test_grid_samples_round_trip(self, capsys):
         code, out, _ = run(capsys, "immersion", "--builtin", "graph", "--grid", "2")
@@ -737,8 +829,8 @@ class TestImmersionCommand:
         assert all("error" not in r for r in records)
 
     def test_report_memory_is_bounded(self, tmp_path):
-        # the 3.3 MB report of 2,304 samples is written from blocks of encoder chunks, never
-        # whole: about 12 MiB here, where the whole string and its chunk list held 26 MiB
+        # the 3.3 MB report of 2,304 samples is built and encoded a sample at a time, never
+        # whole: about 7 MiB here, where the whole string and its chunk list held 26 MiB
         tracemalloc.start()
         try:
             code = main(["immersion", "--builtin", "veronese", "--grid", "48",
@@ -748,6 +840,22 @@ class TestImmersionCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak < 16 * 2**20
+
+    def test_check_report_memory_is_bounded(self, tmp_path):
+        # check of the 2,304 grid-48 samples builds and encodes one record dict at a time,
+        # and holds only the report's text: about 9.4 MiB here, where every record's dict
+        # beside the encoded text took 14 MiB
+        samples = tmp_path / "samples.json"
+        assert main(["immersion", "--builtin", "veronese", "--grid", "48",
+                     "--out", str(samples)]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["check", str(samples), "--out", str(tmp_path / "report.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 12 * 2**20
 
     def test_check_memory_does_not_grow_with_the_group(self, tmp_path):
         # one shape group of 400 n = 8 records: the bracket kernel builds their (n, n, n, n)

@@ -25,6 +25,7 @@ from rigidity.models import (
     umbilical_sphere,
     veronese,
 )
+from rigidity.pinching import negligible_mean
 
 
 class TestVeronese:
@@ -119,6 +120,16 @@ class TestUmbilicalAndGeodesic:
         assert data.mean_index is None and veronese(1.0, 0.0).mean_index is None
         assert data == totally_geodesic(3, 2, 1.0)
         assert umbilical_sphere(3, 2, 1.0, 0.5).mean_index == 0
+
+    @pytest.mark.parametrize("H", [1e-13, -1e-13])
+    def test_negligible_mean_leaves_the_frame_unaligned(self, H):
+        # the builders decide the mean slot by verdict's own zero-mean test: an H it finds
+        # zero gets none, and the same forms at 100 H get slot 0
+        for build in (lambda h: umbilical_sphere(3, 2, 1.0, h), lambda h: veronese(1.0, h)):
+            small, large = build(H), build(100 * H)
+            assert small.mean_index is None and negligible_mean(small)
+            assert large.mean_index == 0 and not negligible_mean(large)
+            assert small.p == large.p
 
     # an empty or negative size is refused with FundamentalData's own message, not an
     # IndexError at the mean member or numpy's "negative dimensions"

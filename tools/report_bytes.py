@@ -5,15 +5,16 @@
 Builds the commands of every workload in bench/workloads.py, plus the defect
 probe, at seeds 1-3, and once the unseeded `model`, `pinch`, large-tuple
 `ddvv --random`, 144-sample `immersion` and `check` commands, a `check` of the
-default (H = 0) umbilical sphere, and a `check` of
-minimal points whose plane searches run at the default budget, two to a shape
-group; runs each one with `python -m rigidity.cli` against each root's src/,
-and lists every command whose exit code, stdout, stderr or output file
-differs.  Where a differing stdout or output file is JSON on both sides, up to
-5 of its differing leaves follow, each as `path: parent → change`.  Exits 1 if
-any command differs, else 0.  The workloads are read from this checkout's
-bench/, which the check never writes; each root runs in its own temporary
-directory.
+default (H = 0) umbilical sphere, a `check` of minimal points whose plane
+searches run at the default budget, two to a shape group, and `check`s of an
+empty list and of a batch with an error record between two good ones, the
+latter serially and with --jobs 2; runs each one with `python -m rigidity.cli`
+against each root's src/, and lists every command whose exit code, stdout,
+stderr or output file differs.  Where a differing stdout or output file is
+JSON on both sides, up to 5 of its differing leaves follow, each as
+`path: parent → change`.  Exits 1 if any command differs, else 0.  The
+workloads are read from this checkout's bench/, which the check never writes;
+each root runs in its own temporary directory.
 """
 
 from __future__ import annotations
@@ -60,6 +61,24 @@ UNSEEDED = [workloads.Command(" ".join(argv), argv[0], argv,
                          ["immersion", "--builtin", "veronese", "--grid", "12",
                           "--out", "samples.json"],
                          ["check", "samples.json", "--no-timestamp"])]
+
+
+# The edges of a report built record by record: a check of an empty list, and a check of a
+# batch whose middle record is an error (a mean-aligned Veronese point, which thm1 refuses)
+# between two good ones, on stdout so its error line is compared too, serially and with
+# --jobs 2.
+def edge_commands(cwd: Path) -> list:
+    """Write the empty and the three-record batch to cwd; the three commands that check them."""
+    pair = np.stack([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]) / np.sqrt(3.0)
+    mean = np.concatenate([0.5 * np.eye(2)[None], np.sqrt(1.25) * pair])
+    (cwd / "empty.json").write_text("[]")
+    (cwd / "mixed.json").write_text(json.dumps([
+        workloads._record(pair, 1.0), workloads._record(mean, 1.0, 0),
+        workloads._record(np.zeros((2, 3, 3)), 1.0)]))
+    batch = ["check", "mixed.json", "--theorem", "thm1", "--no-timestamp"]
+    argvs = (["check", "empty.json", "--no-timestamp"], batch, [*batch, "--jobs", "2"])
+    return [workloads.Command(" ".join(argv), "check", argv, "", items)
+            for argv, items in zip(argvs, (0, 3, 3))]
 
 
 # Minimal points in S^(n+p) at n in {5, 6, 8}, p in {2, 3}, two per shape, whose K_min
@@ -119,6 +138,7 @@ def plans(seed: int, workdir: Path):
     if seed == SEEDS[0]:
         builds["unseeded"] = lambda _: UNSEEDED
         builds["plane-search"] = search_commands
+        builds["edges"] = edge_commands
     for name, commands in builds.items():
         cwd = workdir / name
         cwd.mkdir(parents=True)
